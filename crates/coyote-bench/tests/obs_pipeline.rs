@@ -299,6 +299,11 @@ fn chrome_trace_is_valid_json_and_covers_every_pipeline_stage() {
 #[test]
 fn deterministic_metrics_are_bit_identical_across_thread_counts() {
     let _guard = exclusive();
+    // `BaseModel::generate_cached` keeps base matrices process-wide, so
+    // `bench.base_matrices_generated` counts only in whichever run meets a
+    // cold cache. Warm it unprofiled so both profiled runs see it warm,
+    // whatever ran earlier in this process.
+    run_conformance(&abilene_grid(), 1, DEFAULT_TOLERANCE).expect("warm-up run");
     let serial = profiled_run(1);
     let parallel = profiled_run(2);
 

@@ -35,7 +35,7 @@ use crate::routing::PdRouting;
 use crate::worst_case::{bottleneck_candidates, performance_ratio_exact, RoutabilityScope};
 use coyote_gp::logspace::{smooth_max_and_weights_into, softmax_into};
 use coyote_gp::solver::{minimize_adam, AdamOptions};
-use coyote_graph::{Dag, EdgeId, Graph, NodeId};
+use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
 use std::cell::RefCell;
 
@@ -107,290 +107,295 @@ pub struct CoyoteResult {
     pub rounds: usize,
 }
 
-/// Mapping between the flat optimization vector and (destination, edge)
-/// splitting parameters. Only nodes with at least two DAG out-edges get
-/// parameters; single-out-edge nodes always forward everything.
-struct ParamMap {
-    /// `index[t][e]` = position in the flat vector, or `usize::MAX`.
-    index: Vec<Vec<usize>>,
-    len: usize,
+/// Flat, precomputed view of the per-destination DAGs that the splitting
+/// optimizer sweeps, built once per [`optimize_splitting_with_working_set`]
+/// call.
+///
+/// Only nodes with at least two DAG out-edges get splitting parameters;
+/// single-out-edge nodes always forward everything. The parameters of one
+/// (destination, node) softmax group are contiguous, in `out_edges` order,
+/// and ratios live in one flat array indexed `t · E + e`.
+struct DagLayout {
+    edge_count: usize,
+    /// Flat ratio position of each parameter.
+    slot: Vec<usize>,
+    /// Parameter range `(start, end)` of each softmax group.
+    groups: Vec<(usize, usize)>,
+    /// Ratios that do not depend on the parameters: 1 on the out-edge of
+    /// every single-out-edge node, 0 everywhere else.
+    fixed_phi: Vec<f64>,
+    /// Per DAG, sources first: each node with its `(in-edge, tail)` pairs.
+    forward: Sweeps,
+    /// Per DAG, destination first (destination excluded): each node with
+    /// its `(out-edge, head)` pairs.
+    adjoint: Sweeps,
 }
 
-impl ParamMap {
+/// Per-DAG node sweeps in CSR form: DAG `t` visits
+/// `nodes[dag_start[t]..dag_start[t + 1]]`, and entry `(v, lo, hi)` owns
+/// the `(edge, neighbour)` pairs `links[lo..hi]`.
+struct Sweeps {
+    dag_start: Vec<usize>,
+    nodes: Vec<(usize, usize, usize)>,
+    links: Vec<(usize, usize)>,
+}
+
+impl Sweeps {
+    fn new() -> Self {
+        Self {
+            dag_start: vec![0],
+            nodes: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// Appends node `v` and its `(edge, neighbour)` pairs to the DAG being
+    /// built.
+    fn push(&mut self, v: NodeId, links: impl Iterator<Item = (usize, usize)>) {
+        let lo = self.links.len();
+        self.links.extend(links);
+        self.nodes.push((v.index(), lo, self.links.len()));
+    }
+
+    fn end_dag(&mut self) {
+        self.dag_start.push(self.nodes.len());
+    }
+
+    fn dag(&self, t: usize) -> &[(usize, usize, usize)] {
+        &self.nodes[self.dag_start[t]..self.dag_start[t + 1]]
+    }
+}
+
+impl DagLayout {
     fn new(graph: &Graph, dags: &[Dag]) -> Self {
-        let mut index = vec![vec![usize::MAX; graph.edge_count()]; dags.len()];
-        let mut len = 0usize;
+        let ne = graph.edge_count();
+        let mut slot = Vec::new();
+        let mut groups = Vec::new();
+        let mut fixed_phi = vec![0.0; dags.len() * ne];
+        let mut forward = Sweeps::new();
+        let mut adjoint = Sweeps::new();
         for (t, dag) in dags.iter().enumerate() {
+            let base = t * ne;
             for v in graph.nodes() {
-                let out = dag.out_edges(v);
-                if out.len() >= 2 {
-                    for &e in out {
-                        index[t][e.index()] = len;
-                        len += 1;
+                match dag.out_edges(v) {
+                    [] => {}
+                    [e] => fixed_phi[base + e.index()] = 1.0,
+                    out => {
+                        let start = slot.len();
+                        slot.extend(out.iter().map(|e| base + e.index()));
+                        groups.push((start, slot.len()));
                     }
                 }
             }
+            let topo = dag.topo_from_destination();
+            for &v in topo.iter().rev() {
+                let tails = dag.in_edges(v).iter();
+                forward.push(v, tails.map(|&e| (e.index(), graph.edge(e).src.index())));
+            }
+            for &v in topo.iter().filter(|&&v| v != dag.destination()) {
+                let heads = dag.out_edges(v).iter();
+                adjoint.push(v, heads.map(|&e| (e.index(), graph.edge(e).dst.index())));
+            }
+            forward.end_dag();
+            adjoint.end_dag();
         }
-        Self { index, len }
+        Self {
+            edge_count: ne,
+            slot,
+            groups,
+            fixed_phi,
+            forward,
+            adjoint,
+        }
     }
 
-    #[inline]
-    fn get(&self, t: usize, e: EdgeId) -> Option<usize> {
-        let i = self.index[t][e.index()];
-        if i == usize::MAX {
-            None
-        } else {
-            Some(i)
-        }
+    /// Number of free parameters.
+    fn len(&self) -> usize {
+        self.slot.len()
     }
-}
 
-/// Converts flat parameters to splitting ratios for every destination.
-fn ratios_from_params(graph: &Graph, dags: &[Dag], map: &ParamMap, theta: &[f64]) -> Vec<Vec<f64>> {
-    let mut phi = Vec::new();
-    ratios_from_params_into(
-        graph,
-        dags,
-        map,
-        theta,
-        &mut phi,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
-    phi
-}
-
-/// [`ratios_from_params`] writing into reusable buffers: `phi` is resized
-/// and zeroed in place, `logits`/`probs` are per-node scratch. The inner
-/// optimizer evaluates this thousands of times per cell; reusing the
-/// per-destination vectors removes an `O(destinations × edges)` allocation
-/// storm per gradient step without changing a single computed bit.
-fn ratios_from_params_into(
-    graph: &Graph,
-    dags: &[Dag],
-    map: &ParamMap,
-    theta: &[f64],
-    phi: &mut Vec<Vec<f64>>,
-    logits: &mut Vec<f64>,
-    probs: &mut Vec<f64>,
-) {
-    let ne = graph.edge_count();
-    phi.resize_with(dags.len(), Vec::new);
-    for (t, dag) in dags.iter().enumerate() {
-        let phi_t = &mut phi[t];
-        phi_t.clear();
-        phi_t.resize(ne, 0.0);
-        for v in graph.nodes() {
-            let out = dag.out_edges(v);
-            match out.len() {
-                0 => {}
-                1 => phi_t[out[0].index()] = 1.0,
-                _ => {
-                    logits.clear();
-                    logits.extend(
-                        out.iter().map(|&e| {
-                            theta[map.get(t, e).expect("multi-out edges are parametrized")]
-                        }),
-                    );
-                    softmax_into(logits, probs);
-                    for (&e, &p) in out.iter().zip(probs.iter()) {
-                        phi_t[e.index()] = p;
-                    }
-                }
+    /// Writes the softmax ratios of `theta` into `phi`, a flat ratio array
+    /// that started as a copy of `fixed_phi`; `probs` is scratch.
+    fn ratios_into(&self, theta: &[f64], phi: &mut [f64], probs: &mut Vec<f64>) {
+        for &(lo, hi) in &self.groups {
+            softmax_into(&theta[lo..hi], probs);
+            for (&s, &p) in self.slot[lo..hi].iter().zip(probs.iter()) {
+                phi[s] = p;
             }
         }
     }
 }
 
-/// Reusable buffers for [`SplittingObjective::eval_impl`]. The objective is
-/// evaluated thousands of times per Adam run over buffers whose shapes never
-/// change, so everything is allocated once and rewritten in place; all
-/// buffers are fully overwritten (or zeroed) before use, keeping results
-/// bit-identical to the allocate-fresh version.
-#[derive(Default)]
+/// Reusable buffers for [`SplittingObjective::eval`], sized once when the
+/// objective is built. Every entry an evaluation reads is either a fixed
+/// ratio or rewritten earlier in the same evaluation, so no state carries
+/// over between calls.
 struct EvalScratch {
-    phi: Vec<Vec<f64>>,
-    logits: Vec<f64>,
+    /// Flat ratios, `t · E + e`.
+    phi: Vec<f64>,
     probs: Vec<f64>,
-    flows: Vec<Vec<Vec<f64>>>,
+    /// Node flows of active pair `p` at `p · N + v`.
+    flows: Vec<f64>,
+    /// Utilization of edge `e` under matrix `k` at `k · E + e`.
     values: Vec<f64>,
-    loads: Vec<f64>,
+    /// Smoothed-max weight of each value, then divided by its denominator.
     weights: Vec<f64>,
-    dphi: Vec<Vec<f64>>,
+    /// `∂J/∂φ_t(e)` at `t · E + e`.
+    dphi: Vec<f64>,
     lambda: Vec<f64>,
 }
 
 /// The differentiable objective: smoothed maximum over (matrix, edge) of
 /// `load / (capacity · OPTU(D))`.
+///
+/// One objective serves one constraint-generation round, whose working set
+/// is fixed, so everything derived from the working set is computed here
+/// once and [`Self::eval`] only sweeps flat index arrays.
 struct SplittingObjective<'a> {
-    graph: &'a Graph,
-    dags: &'a [Dag],
-    map: &'a ParamMap,
-    /// (demand matrix, OPTU normalizer) pairs.
-    working_set: Vec<(DemandMatrix, f64)>,
+    layout: &'a DagLayout,
+    node_count: usize,
+    matrices: Vec<&'a DemandMatrix>,
+    /// Active destinations of matrix `k`, ascending, are
+    /// `active[active_start[k]..active_start[k + 1]]`; a position in
+    /// `active` numbers the (matrix, destination) pair.
+    active: Vec<usize>,
+    active_start: Vec<usize>,
+    /// `capacity(e) · OPTU(D_k)` at `k · E + e`.
+    denom: Vec<f64>,
     smoothing: f64,
     scratch: RefCell<EvalScratch>,
 }
 
 impl<'a> SplittingObjective<'a> {
     fn new(
-        graph: &'a Graph,
-        dags: &'a [Dag],
-        map: &'a ParamMap,
-        working_set: Vec<(DemandMatrix, f64)>,
+        graph: &Graph,
+        layout: &'a DagLayout,
+        working_set: impl IntoIterator<Item = (&'a DemandMatrix, f64)>,
         smoothing: f64,
     ) -> Self {
+        let n = graph.node_count();
+        let mut matrices = Vec::new();
+        let mut active = Vec::new();
+        let mut active_start = vec![0];
+        let mut denom = Vec::new();
+        for (dm, r) in working_set {
+            matrices.push(dm);
+            active.extend(dm.active_destinations().iter().map(|t| t.index()));
+            active_start.push(active.len());
+            denom.extend(graph.edges().map(|e| graph.capacity(e) * r));
+        }
+        let scratch = EvalScratch {
+            phi: layout.fixed_phi.clone(),
+            probs: Vec::new(),
+            flows: vec![0.0; active.len() * n],
+            values: vec![0.0; denom.len()],
+            weights: Vec::with_capacity(denom.len()),
+            dphi: vec![0.0; layout.fixed_phi.len()],
+            lambda: vec![0.0; n],
+        };
         Self {
-            graph,
-            dags,
-            map,
-            working_set,
+            layout,
+            node_count: n,
+            matrices,
+            active,
+            active_start,
+            denom,
             smoothing,
-            scratch: RefCell::new(EvalScratch::default()),
+            scratch: RefCell::new(scratch),
         }
     }
 
     /// Evaluates the smoothed objective and accumulates the gradient.
-    fn eval_impl(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        let graph = self.graph;
-        let ne = graph.edge_count();
+    fn eval(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        let layout = self.layout;
+        let (n, ne) = (self.node_count, layout.edge_count);
         let scratch = &mut *self.scratch.borrow_mut();
         let EvalScratch {
             phi,
-            logits,
             probs,
             flows,
             values,
-            loads,
             weights,
             dphi,
             lambda,
         } = scratch;
-        ratios_from_params_into(graph, self.dags, self.map, theta, phi, logits, probs);
+        layout.ratios_into(theta, phi, probs);
 
-        // Forward pass: per (matrix, destination) node flows and per-matrix
-        // edge loads. Inactive destinations keep stale buffers; they are
-        // never read (every consumer loops over `active_destinations`).
-        flows.resize_with(self.working_set.len(), Vec::new);
-        for ((dm, _), per_dest) in self.working_set.iter().zip(flows.iter_mut()) {
-            per_dest.resize_with(self.dags.len(), Vec::new);
-            for t in dm.active_destinations() {
-                destination_flow_into(
-                    graph,
-                    &self.dags[t.index()],
-                    &phi[t.index()],
-                    dm,
-                    t,
-                    &mut per_dest[t.index()],
-                );
-            }
-        }
-        values.clear();
-        values.reserve(self.working_set.len() * ne);
-        for ((dm, r), per_dest) in self.working_set.iter().zip(flows.iter()) {
-            loads.clear();
-            loads.resize(ne, 0.0);
-            for t in dm.active_destinations() {
-                let dag = &self.dags[t.index()];
-                let flow = &per_dest[t.index()];
-                for e in dag.edges() {
-                    let u = graph.edge(e).src;
-                    loads[e.index()] += flow[u.index()] * phi[t.index()][e.index()];
+        // Forward pass per (matrix, active destination): node flows, sources
+        // first. Each DAG edge is an in-edge of exactly one node, so its load
+        // term is added once per destination, in ascending destination order.
+        for (k, dm) in self.matrices.iter().enumerate() {
+            let loads = &mut values[k * ne..(k + 1) * ne];
+            loads.fill(0.0);
+            for p in self.active_start[k]..self.active_start[k + 1] {
+                let t = self.active[p];
+                let phi_t = &phi[t * ne..(t + 1) * ne];
+                let flow = &mut flows[p * n..(p + 1) * n];
+                for (s, f) in flow.iter_mut().enumerate() {
+                    *f = if s == t {
+                        0.0
+                    } else {
+                        dm.get(NodeId(s), NodeId(t))
+                    };
+                }
+                for &(v, lo, hi) in layout.forward.dag(t) {
+                    let mut acc = 0.0;
+                    for &(e, u) in &layout.forward.links[lo..hi] {
+                        let carried = flow[u] * phi_t[e];
+                        acc += carried;
+                        loads[e] += carried;
+                    }
+                    flow[v] += acc;
                 }
             }
-            for e in graph.edges() {
-                values.push(loads[e.index()] / (graph.capacity(e) * r));
+            for (load, d) in loads.iter_mut().zip(&self.denom[k * ne..(k + 1) * ne]) {
+                *load /= d;
             }
         }
 
         let max_val = values.iter().copied().fold(0.0_f64, f64::max);
         let tau = (self.smoothing * max_val).max(1e-6);
         let objective = smooth_max_and_weights_into(values, tau, weights);
-
-        // Backward pass (adjoint) per (matrix, destination).
-        // dJ/dφ_t(e) accumulated here, then chained through the softmax.
-        dphi.resize_with(self.dags.len(), Vec::new);
-        for row in dphi.iter_mut() {
-            row.clear();
-            row.resize(ne, 0.0);
+        for (w, d) in weights.iter_mut().zip(&self.denom) {
+            *w /= d;
         }
-        for (k, ((dm, r), per_dest)) in self.working_set.iter().zip(flows.iter()).enumerate() {
-            // Per-edge weight of this matrix in the smoothed max.
-            let w_of = |e: EdgeId| weights[k * ne + e.index()] / (graph.capacity(e) * r);
-            for t in dm.active_destinations() {
-                let dag = &self.dags[t.index()];
-                let flow = &per_dest[t.index()];
-                let phi_t = &phi[t.index()];
-                // Adjoint λ(v) = Σ_{e=(v,x)} φ(e) (w_e + λ(x)), destination
-                // first so successors are ready.
-                lambda.clear();
-                lambda.resize(graph.node_count(), 0.0);
-                for &v in dag.topo_from_destination() {
-                    if v == dag.destination() {
-                        continue;
-                    }
+
+        // Backward pass (adjoint) per (matrix, active destination):
+        // λ(v) = Σ_{e=(v,x)} φ(e) (w_e + λ(x)), destination first so heads
+        // are final, and dJ/dφ_t(e) += F(v) (w_e + λ(x)) on the same visit.
+        dphi.fill(0.0);
+        for k in 0..self.matrices.len() {
+            let w = &weights[k * ne..(k + 1) * ne];
+            for p in self.active_start[k]..self.active_start[k + 1] {
+                let t = self.active[p];
+                let phi_t = &phi[t * ne..(t + 1) * ne];
+                let dphi_t = &mut dphi[t * ne..(t + 1) * ne];
+                let flow = &flows[p * n..(p + 1) * n];
+                // The destination's adjoint is the only entry read before
+                // this sweep writes it.
+                lambda[t] = 0.0;
+                for &(v, lo, hi) in layout.adjoint.dag(t) {
                     let mut acc = 0.0;
-                    for &e in dag.out_edges(v) {
-                        let x = graph.edge(e).dst;
-                        acc += phi_t[e.index()] * (w_of(e) + lambda[x.index()]);
+                    for &(e, x) in &layout.adjoint.links[lo..hi] {
+                        let g = w[e] + lambda[x];
+                        acc += phi_t[e] * g;
+                        dphi_t[e] += flow[v] * g;
                     }
-                    lambda[v.index()] = acc;
-                }
-                for e in dag.edges() {
-                    let (u, x) = graph.endpoints(e);
-                    dphi[t.index()][e.index()] += flow[u.index()] * (w_of(e) + lambda[x.index()]);
+                    lambda[v] = acc;
                 }
             }
         }
 
         // Chain rule through the per-node softmax.
-        for (t, dag) in self.dags.iter().enumerate() {
-            for v in graph.nodes() {
-                let out = dag.out_edges(v);
-                if out.len() < 2 {
-                    continue;
-                }
-                let dot: f64 = out
-                    .iter()
-                    .map(|&e| dphi[t][e.index()] * phi[t][e.index()])
-                    .sum();
-                for &e in out {
-                    let idx = self.map.get(t, e).expect("parametrized edge");
-                    grad[idx] += phi[t][e.index()] * (dphi[t][e.index()] - dot);
-                }
+        for &(lo, hi) in &layout.groups {
+            let slots = &layout.slot[lo..hi];
+            let dot: f64 = slots.iter().map(|&s| dphi[s] * phi[s]).sum();
+            for (g, &s) in grad[lo..hi].iter_mut().zip(slots) {
+                *g += phi[s] * (dphi[s] - dot);
             }
         }
 
         objective
-    }
-}
-
-/// Per-destination aggregated node flow for explicit ratios (mirrors
-/// [`PdRouting::destination_node_flow`] but avoids constructing a routing
-/// object inside the optimizer's hot loop). Writes into a reusable buffer,
-/// zeroed in place first.
-fn destination_flow_into(
-    graph: &Graph,
-    dag: &Dag,
-    phi: &[f64],
-    dm: &DemandMatrix,
-    t: NodeId,
-    flow: &mut Vec<f64>,
-) {
-    flow.clear();
-    flow.resize(graph.node_count(), 0.0);
-    for s in graph.nodes() {
-        if s != t {
-            flow[s.index()] = dm.get(s, t);
-        }
-    }
-    for &v in dag.topo_to_destination().iter() {
-        let mut acc = 0.0;
-        for &e in dag.in_edges(v) {
-            let u = graph.edge(e).src;
-            acc += flow[u.index()] * phi[e.index()];
-        }
-        flow[v.index()] += acc;
     }
 }
 
@@ -442,23 +447,18 @@ pub fn optimize_splitting_with_working_set(
         working = EvaluationSet::build(graph, &dags, uncertainty, base, &config.evaluation)?;
     }
 
-    let map = ParamMap::new(graph, &dags);
-    let mut theta = vec![0.0; map.len];
+    let layout = DagLayout::new(graph, &dags);
+    let mut theta = vec![0.0; layout.len()];
     let mut rounds = 0usize;
 
     for round in 0..config.cg_rounds.max(1) {
         rounds = round + 1;
         // ---- Inner optimization over the current working set. ----
-        if map.len > 0 {
-            let objective = SplittingObjective::new(
-                graph,
-                &dags,
-                &map,
-                working.entries().map(|(dm, r)| (dm.clone(), r)).collect(),
-                config.smoothing,
-            );
-            let obj = (map.len, move |x: &[f64], grad: &mut [f64]| -> f64 {
-                objective.eval_impl(x, grad)
+        if layout.len() > 0 {
+            let objective =
+                SplittingObjective::new(graph, &layout, working.entries(), config.smoothing);
+            let obj = (layout.len(), move |x: &[f64], grad: &mut [f64]| -> f64 {
+                objective.eval(x, grad)
             });
             let opts = AdamOptions {
                 learning_rate: config.learning_rate,
@@ -471,7 +471,7 @@ pub fn optimize_splitting_with_working_set(
         }
 
         // Current routing and its ratio over the working set.
-        let routing = routing_from_theta(graph, &dags, &map, &theta);
+        let routing = routing_from_theta(graph, &dags, &layout, &theta);
         let current = working.performance_ratio(graph, &routing);
 
         if round + 1 == config.cg_rounds.max(1) {
@@ -504,7 +504,7 @@ pub fn optimize_splitting_with_working_set(
         working.try_add(graph, &dags, wc.demand)?;
     }
 
-    let routing = routing_from_theta(graph, &dags, &map, &theta);
+    let routing = routing_from_theta(graph, &dags, &layout, &theta);
     let ratio = working.performance_ratio(graph, &routing);
     coyote_obs::counter("core.cg.optimizations", 1);
     coyote_obs::counter("core.cg.rounds", rounds as u64);
@@ -517,9 +517,14 @@ pub fn optimize_splitting_with_working_set(
     })
 }
 
-fn routing_from_theta(graph: &Graph, dags: &[Dag], map: &ParamMap, theta: &[f64]) -> PdRouting {
-    let phi = ratios_from_params(graph, dags, map, theta);
-    PdRouting::from_ratios(graph, dags.to_vec(), phi)
+fn routing_from_theta(graph: &Graph, dags: &[Dag], layout: &DagLayout, theta: &[f64]) -> PdRouting {
+    let ne = graph.edge_count();
+    let mut phi = layout.fixed_phi.clone();
+    layout.ratios_into(theta, &mut phi, &mut Vec::new());
+    let ratios = (0..dags.len())
+        .map(|t| phi[t * ne..(t + 1) * ne].to_vec())
+        .collect();
+    PdRouting::from_ratios(graph, dags.to_vec(), ratios)
 }
 
 /// End-to-end COYOTE: build the augmented DAGs from the graph's current OSPF
@@ -536,10 +541,16 @@ pub fn coyote(
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ecmp::ecmp_routing;
     use crate::worst_case::performance_ratio_exact;
+    use coyote_graph::EdgeId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
@@ -566,25 +577,25 @@ mod tests {
     fn gradient_matches_finite_differences() {
         let (g, s1, s2, _v, t) = fig1();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
-        let map = ParamMap::new(&g, &dags);
+        let layout = DagLayout::new(&g, &dags);
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.5);
         dm.set(s2, t, 0.5);
-        let objective = SplittingObjective::new(&g, &dags, &map, vec![(dm, 1.0)], 0.05);
-        let theta: Vec<f64> = (0..map.len).map(|i| 0.1 * (i as f64) - 0.3).collect();
-        let mut grad = vec![0.0; map.len];
-        let f0 = objective.eval_impl(&theta, &mut grad);
+        let objective = SplittingObjective::new(&g, &layout, [(&dm, 1.0)], 0.05);
+        let theta: Vec<f64> = (0..layout.len()).map(|i| 0.1 * (i as f64) - 0.3).collect();
+        let mut grad = vec![0.0; layout.len()];
+        let f0 = objective.eval(&theta, &mut grad);
         assert!(f0.is_finite());
         let h = 1e-5;
-        for i in 0..map.len {
+        for i in 0..layout.len() {
             let mut tp = theta.clone();
             tp[i] += h;
             let mut tm = theta.clone();
             tm[i] -= h;
-            let mut scratch = vec![0.0; map.len];
-            let fp = objective.eval_impl(&tp, &mut scratch);
-            let mut scratch = vec![0.0; map.len];
-            let fm = objective.eval_impl(&tm, &mut scratch);
+            let mut scratch = vec![0.0; layout.len()];
+            let fp = objective.eval(&tp, &mut scratch);
+            let mut scratch = vec![0.0; layout.len()];
+            let fm = objective.eval(&tm, &mut scratch);
             let fd = (fp - fm) / (2.0 * h);
             assert!(
                 (grad[i] - fd).abs() < 1e-4,
@@ -592,6 +603,83 @@ mod tests {
                 grad[i]
             );
         }
+    }
+
+    /// Asserts that the precomputed objective matches the reference
+    /// evaluation bit for bit, value and every gradient entry, at θ = 0 and
+    /// at two seeded random points. Every point is evaluated twice on the
+    /// same objective, so state left over from an earlier call would show.
+    fn assert_matches_reference(g: &Graph, dags: &[Dag], working: &EvaluationSet) {
+        let ne = g.edge_count();
+        let layout = DagLayout::new(g, dags);
+        let map = reference::ParamMap::new(g, dags);
+        assert_eq!(layout.len(), map.len);
+        for (i, &s) in layout.slot.iter().enumerate() {
+            assert_eq!(map.get(s / ne, EdgeId(s % ne)), Some(i), "parameter {i}");
+        }
+        let set: Vec<(DemandMatrix, f64)> =
+            working.entries().map(|(dm, r)| (dm.clone(), r)).collect();
+        let smoothing = CoyoteConfig::default().smoothing;
+        let objective = SplittingObjective::new(g, &layout, working.entries(), smoothing);
+
+        let mut rng = StdRng::seed_from_u64(0x0B11);
+        let mut points = vec![vec![0.0; layout.len()]];
+        for _ in 0..2 {
+            points.push(
+                (0..layout.len())
+                    .map(|_| rng.gen_range(-2.0..2.0))
+                    .collect(),
+            );
+        }
+        for pass in 0..2 {
+            for (p, theta) in points.iter().enumerate() {
+                let mut grad = vec![0.0; layout.len()];
+                let mut want_grad = vec![0.0; layout.len()];
+                let got = objective.eval(theta, &mut grad);
+                let want = reference::eval(g, dags, &map, &set, smoothing, theta, &mut want_grad);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "value, point {p} pass {pass}"
+                );
+                for (i, (a, b)) in grad.iter().zip(&want_grad).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "grad[{i}], point {p} pass {pass}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn objective_is_bit_identical_to_reference_on_fig1() {
+        let (g, s1, s2, _v, t) = fig1();
+        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+        let unc = fig1_uncertainty(s1, s2, t);
+        let working =
+            EvaluationSet::build(&g, &dags, &unc, None, &EvaluationOptions::default()).unwrap();
+        assert_matches_reference(&g, &dags, &working);
+    }
+
+    #[test]
+    fn objective_is_bit_identical_to_reference_on_abilene() {
+        let g = coyote_topology::zoo::abilene().to_graph().unwrap();
+        let n = g.node_count();
+        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+        let base = coyote_traffic::GravityModel::default().generate(&g);
+        let options = CoyoteConfig::fast().evaluation;
+
+        let margin_box = UncertaintySet::from_margin(&base, 2.0);
+        let working = EvaluationSet::build(&g, &dags, &margin_box, Some(&base), &options).unwrap();
+        assert_matches_reference(&g, &dags, &working);
+
+        let oblivious = UncertaintySet::oblivious(n);
+        let working = EvaluationSet::build(&g, &dags, &oblivious, None, &options).unwrap();
+        assert!(
+            working
+                .entries()
+                .any(|(dm, _)| dm.active_destinations().len() < n),
+            "the oblivious working set should hold matrices with inactive destinations"
+        );
+        assert_matches_reference(&g, &dags, &working);
     }
 
     #[test]

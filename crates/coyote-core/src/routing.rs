@@ -197,7 +197,7 @@ impl PdRouting {
         }
         // Sources-first topological order guarantees predecessors are final
         // before a node is read.
-        for &v in dag.topo_to_destination().iter() {
+        for &v in dag.topo_from_destination().iter().rev() {
             if v == s {
                 continue;
             }
@@ -224,7 +224,7 @@ impl PdRouting {
                 flow[s.index()] = dm.get(s, t);
             }
         }
-        for &v in dag.topo_to_destination().iter() {
+        for &v in dag.topo_from_destination().iter().rev() {
             let mut acc = 0.0;
             for &e in dag.in_edges(v) {
                 let u = graph.edge(e).src;
@@ -238,13 +238,16 @@ impl PdRouting {
     /// Per-edge loads induced by routing `dm` with this configuration.
     pub fn edge_loads(&self, graph: &Graph, dm: &DemandMatrix) -> Vec<f64> {
         let mut loads = vec![0.0; graph.edge_count()];
-        for t in dm.active_destinations() {
+        for t in graph.nodes().filter(|&t| dm.has_traffic_to(t)) {
             let flow = self.destination_node_flow(graph, dm, t);
             let dag = &self.dags[t.index()];
             let phi = &self.phi[t.index()];
-            for e in dag.edges() {
-                let u = graph.edge(e).src;
-                loads[e.index()] += flow[u.index()] * phi[e.index()];
+            // Every DAG edge is the out-edge of exactly one participating
+            // node, so each load gets one term per destination.
+            for &u in dag.topo_from_destination() {
+                for &e in dag.out_edges(u) {
+                    loads[e.index()] += flow[u.index()] * phi[e.index()];
+                }
             }
         }
         loads

@@ -201,14 +201,6 @@ impl Dag {
         &self.topo_from_dest
     }
 
-    /// Nodes ordered sources-first (reverse of [`Self::topo_from_destination`]):
-    /// every DAG edge `(u, v)` has `u` appearing before `v`. This is the order
-    /// in which traffic entering at any node propagates towards the
-    /// destination.
-    pub fn topo_to_destination(&self) -> Vec<NodeId> {
-        self.topo_from_dest.iter().rev().copied().collect()
-    }
-
     /// True if `node` participates in the DAG (has an in- or out-edge) or is
     /// the destination.
     pub fn participates(&self, node: NodeId) -> bool {
@@ -285,9 +277,6 @@ mod tests {
             // Destination-first order: heads appear before tails.
             assert!(pos[&v] < pos[&u], "edge {u}->{v} violates topo order");
         }
-        let fwd = dag.topo_to_destination();
-        assert_eq!(fwd.len(), order.len());
-        assert_eq!(fwd.first(), order.last());
     }
 
     #[test]

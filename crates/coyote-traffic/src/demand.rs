@@ -98,14 +98,19 @@ impl DemandMatrix {
         })
     }
 
-    /// All destinations that receive a positive amount of traffic.
+    /// All destinations that receive a positive amount of traffic, in
+    /// ascending order.
     pub fn active_destinations(&self) -> Vec<NodeId> {
-        let mut dests: Vec<NodeId> = (0..self.n)
-            .filter(|&t| (0..self.n).any(|s| s != t && self.data[s * self.n + t] > 0.0))
+        (0..self.n)
             .map(NodeId)
-            .collect();
-        dests.sort();
-        dests
+            .filter(|&t| self.has_traffic_to(t))
+            .collect()
+    }
+
+    /// True if some other node sends `t` a positive amount of traffic.
+    pub fn has_traffic_to(&self, t: NodeId) -> bool {
+        let t = t.index();
+        (0..self.n).any(|s| s != t && self.data[s * self.n + t] > 0.0)
     }
 
     /// Total traffic destined to `t` from all sources.
