@@ -251,10 +251,7 @@ pub fn conformance_record_with(
     coyote_obs::counter("conform.cells", 1);
     let started = Instant::now();
     let scenario = spec.to_scenario()?;
-    let eval = {
-        let _span = coyote_obs::span("conform.evaluate");
-        evaluate_scenario(&scenario)?
-    };
+    let eval = evaluate_scenario(&scenario)?;
     let graph = &eval.graph;
     let intended = &eval.coyote_routing;
 

@@ -263,7 +263,6 @@ fn chrome_trace_is_valid_json_and_covers_every_pipeline_stage() {
     // Every stage of the pipeline left at least one span in the trace.
     for stage in [
         "conform.cell",
-        "conform.evaluate",
         "conform.verify",
         "conform.flowsim",
         "bench.evaluate_scenario",

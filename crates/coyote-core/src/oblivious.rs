@@ -33,8 +33,7 @@ use crate::error::CoreError;
 use crate::perf::{EvaluationOptions, EvaluationSet};
 use crate::routing::PdRouting;
 use crate::worst_case::{bottleneck_candidates, performance_ratio_exact, RoutabilityScope};
-use coyote_gp::logspace::{smooth_max_and_weights_into, softmax_into};
-use coyote_gp::solver::{minimize_adam, AdamOptions};
+use coyote_gp::{minimize_adam, smooth_max_and_weights_into, softmax_into};
 use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
 use std::cell::RefCell;
@@ -457,17 +456,13 @@ pub fn optimize_splitting_with_working_set(
         if layout.len() > 0 {
             let objective =
                 SplittingObjective::new(graph, &layout, working.entries(), config.smoothing);
-            let obj = (layout.len(), move |x: &[f64], grad: &mut [f64]| -> f64 {
-                objective.eval(x, grad)
-            });
-            let opts = AdamOptions {
-                learning_rate: config.learning_rate,
-                max_iters: config.adam_iterations,
-                patience: 150,
-                ..AdamOptions::default()
-            };
-            let res = minimize_adam(&obj, &theta, &opts);
-            theta = res.x;
+            theta = minimize_adam(
+                |x, grad| objective.eval(x, grad),
+                &theta,
+                config.learning_rate,
+                config.adam_iterations,
+            )
+            .x;
         }
 
         // Current routing and its ratio over the working set.

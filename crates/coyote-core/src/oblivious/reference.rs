@@ -3,7 +3,7 @@
 //! and DAGs on every call. [`super::SplittingObjective::eval`] must match it
 //! bit for bit.
 
-use coyote_gp::logspace::{smooth_max_and_weights_into, softmax_into};
+use coyote_gp::{smooth_max_and_weights_into, softmax_into};
 use coyote_graph::{Dag, EdgeId, Graph, NodeId};
 use coyote_traffic::DemandMatrix;
 

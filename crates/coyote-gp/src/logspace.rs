@@ -1,8 +1,15 @@
-//! Numerically stable log-space primitives.
+//! Numerically stable log-space kernels.
+//!
+//! The production kernels are the buffer-reusing [`softmax_into`] and
+//! [`smooth_max_and_weights_into`]. The allocating `log_sum_exp`,
+//! `softmax`, `smooth_max` and `smooth_max_weights` are compiled only for
+//! tests, where they are the reference the fused kernels must match bit for
+//! bit.
 
 /// Stable `log(Σ exp(x_i))`.
 ///
 /// Returns `f64::NEG_INFINITY` for an empty slice (the sum of zero terms).
+#[cfg(test)]
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NEG_INFINITY;
@@ -18,6 +25,7 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 /// Stable softmax: `out[i] = exp(x_i) / Σ_j exp(x_j)`.
 ///
 /// The result sums to 1 (up to floating point) for non-empty input.
+#[cfg(test)]
 pub fn softmax(xs: &[f64]) -> Vec<f64> {
     if xs.is_empty() {
         return Vec::new();
@@ -28,8 +36,9 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
-/// [`softmax`] into a reusable buffer (cleared first). Bit-identical to
-/// [`softmax`]: same shift by the maximum, same sequential sum.
+/// Stable softmax into a reusable buffer (cleared first):
+/// `out[i] = exp(x_i) / Σ_j exp(x_j)`. Bit-identical to the test-only
+/// allocating `softmax`: same shift by the maximum, same sequential sum.
 pub fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if xs.is_empty() {
@@ -50,6 +59,7 @@ pub fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
 ///
 /// As `τ → 0` this converges to `max(xs)` from above; it is used to smooth
 /// the max-link-utilization objective so that gradient methods apply.
+#[cfg(test)]
 pub fn smooth_max(xs: &[f64], tau: f64) -> f64 {
     assert!(tau > 0.0, "smoothing temperature must be positive");
     let scaled: Vec<f64> = xs.iter().map(|&x| x / tau).collect();
@@ -58,19 +68,22 @@ pub fn smooth_max(xs: &[f64], tau: f64) -> f64 {
 
 /// Gradient weights of [`smooth_max`] with respect to each input:
 /// `∂ smooth_max / ∂ x_i = softmax(x / τ)_i`.
+#[cfg(test)]
 pub fn smooth_max_weights(xs: &[f64], tau: f64) -> Vec<f64> {
     assert!(tau > 0.0, "smoothing temperature must be positive");
     let scaled: Vec<f64> = xs.iter().map(|&x| x / tau).collect();
     softmax(&scaled)
 }
 
-/// Fused [`smooth_max`] + [`smooth_max_weights`]: returns the smoothed
-/// maximum and writes the gradient weights into `weights` (cleared first,
-/// capacity reused). Bit-identical to calling the two functions separately
-/// — the scaled values, exponentials and their sequential sum are computed
-/// in the same order — but with a single pass and no temporary allocations,
-/// which matters in the splitting optimizer's inner loop where `xs` is the
-/// full (matrix × edge) utilization vector evaluated thousands of times.
+/// Smoothed maximum `τ · log Σ exp(x_i / τ)` fused with its gradient
+/// weights `softmax(x / τ)`: returns the smoothed maximum and writes the
+/// weights into `weights` (cleared first, capacity reused). As `τ → 0` the
+/// value converges to `max(xs)` from above. Bit-identical to the test-only
+/// `smooth_max` and `smooth_max_weights` called separately — the scaled
+/// values, exponentials and their sequential sum are computed in the same
+/// order — but with a single pass and no temporary allocations, which
+/// matters in the splitting optimizer's inner loop where `xs` is the full
+/// (matrix × edge) utilization vector evaluated thousands of times.
 pub fn smooth_max_and_weights_into(xs: &[f64], tau: f64, weights: &mut Vec<f64>) -> f64 {
     assert!(tau > 0.0, "smoothing temperature must be positive");
     weights.clear();

@@ -1,84 +1,27 @@
-//! First-order minimizers and a penalty-method GP solver.
+//! The Adam minimizer of the splitting optimizer.
 //!
-//! The COYOTE splitting-ratio optimization needs to minimize a smooth
-//! non-linear objective (the log-sum-exp-smoothed worst-case link
-//! utilization as a function of log-splitting parameters). The paper uses
-//! MOSEK's interior-point method; this reproduction uses a robust
-//! first-order scheme — Adam with optional restarts — which reaches the same
-//! optima on the problem sizes of the evaluation (verified against analytic
-//! solutions and LP lower bounds in `coyote-core`).
-//!
-//! Two layers are provided:
-//!
-//! * [`minimize_adam`] / [`minimize_gradient_descent`] over any
-//!   [`Objective`] (a function returning value + gradient);
-//! * [`GpProblem`]: a posynomial objective with posynomial `≤ 1` constraints
-//!   solved in the log domain via an exterior penalty, used for the small
-//!   analytic programs and to cross-check the core pipeline.
+//! The COYOTE splitting-ratio optimization minimizes a smooth non-linear
+//! objective (the log-sum-exp-smoothed worst-case link utilization as a
+//! function of log-splitting parameters). The paper uses MOSEK's
+//! interior-point method; this reproduction uses Adam, which reaches the
+//! same optima on the problem sizes of the evaluation (verified against
+//! analytic solutions and LP lower bounds in `coyote-core`).
 
-use crate::logspace::{smooth_max, smooth_max_weights};
-use crate::posynomial::Posynomial;
+/// First-moment decay.
+const BETA1: f64 = 0.9;
+/// Second-moment decay.
+const BETA2: f64 = 0.999;
+/// Numerical floor inside the update.
+const EPSILON: f64 = 1e-8;
+/// Stop when the infinity norm of the gradient falls below this value.
+const GRADIENT_TOLERANCE: f64 = 1e-7;
+/// Stop when the best objective has not improved by more than
+/// `VALUE_TOLERANCE` over the last [`PATIENCE`] iterations.
+const VALUE_TOLERANCE: f64 = 1e-9;
+/// See [`VALUE_TOLERANCE`].
+const PATIENCE: usize = 150;
 
-/// A differentiable objective: returns the value at `x` and writes the
-/// gradient into `grad` (which is zeroed by the caller).
-pub trait Objective {
-    /// Evaluates the objective and its gradient at `x`.
-    fn eval(&self, x: &[f64], grad: &mut [f64]) -> f64;
-
-    /// Dimension of the decision vector.
-    fn dim(&self) -> usize;
-}
-
-impl<F> Objective for (usize, F)
-where
-    F: Fn(&[f64], &mut [f64]) -> f64,
-{
-    fn eval(&self, x: &[f64], grad: &mut [f64]) -> f64 {
-        (self.1)(x, grad)
-    }
-    fn dim(&self) -> usize {
-        self.0
-    }
-}
-
-/// Options for [`minimize_adam`].
-#[derive(Debug, Clone)]
-pub struct AdamOptions {
-    /// Step size.
-    pub learning_rate: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical floor inside the update.
-    pub epsilon: f64,
-    /// Maximum iterations.
-    pub max_iters: usize,
-    /// Stop when the infinity norm of the gradient falls below this value.
-    pub gradient_tolerance: f64,
-    /// Stop when the best objective has not improved by more than
-    /// `value_tolerance` over the last `patience` iterations.
-    pub value_tolerance: f64,
-    /// See `value_tolerance`.
-    pub patience: usize,
-}
-
-impl Default for AdamOptions {
-    fn default() -> Self {
-        Self {
-            learning_rate: 0.05,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            max_iters: 2_000,
-            gradient_tolerance: 1e-7,
-            value_tolerance: 1e-9,
-            patience: 200,
-        }
-    }
-}
-
-/// Result of an optimization run.
+/// Result of a [`minimize_adam`] run.
 #[derive(Debug, Clone)]
 pub struct OptResult {
     /// Best point found.
@@ -87,15 +30,21 @@ pub struct OptResult {
     pub value: f64,
     /// Number of iterations performed.
     pub iterations: usize,
-    /// True if a tolerance-based stopping rule fired (as opposed to running
-    /// out of iterations).
-    pub converged: bool,
 }
 
 /// Minimizes `objective` starting from `x0` with the Adam optimizer.
-pub fn minimize_adam(objective: &dyn Objective, x0: &[f64], opts: &AdamOptions) -> OptResult {
-    let n = objective.dim();
-    assert_eq!(x0.len(), n, "x0 dimension mismatch");
+///
+/// `objective(x, grad)` returns the value at `x` and adds the gradient into
+/// `grad`, which is zeroed before every call. The run stops after
+/// `max_iters` iterations, or earlier once the gradient vanishes or the best
+/// value stops improving.
+pub fn minimize_adam(
+    mut objective: impl FnMut(&[f64], &mut [f64]) -> f64,
+    x0: &[f64],
+    learning_rate: f64,
+    max_iters: usize,
+) -> OptResult {
+    let n = x0.len();
     let mut x = x0.to_vec();
     let mut m = vec![0.0; n];
     let mut v = vec![0.0; n];
@@ -104,14 +53,13 @@ pub fn minimize_adam(objective: &dyn Objective, x0: &[f64], opts: &AdamOptions) 
     let mut best_x = x.clone();
     let mut best_val = f64::INFINITY;
     let mut since_improvement = 0usize;
-    let mut converged = false;
     let mut iterations = 0usize;
 
-    for t in 1..=opts.max_iters {
+    for t in 1..=max_iters {
         iterations = t;
         grad.iter_mut().for_each(|g| *g = 0.0);
-        let val = objective.eval(&x, &mut grad);
-        if val < best_val - opts.value_tolerance {
+        let val = objective(&x, &mut grad);
+        if val < best_val - VALUE_TOLERANCE {
             best_val = val;
             best_x.copy_from_slice(&x);
             since_improvement = 0;
@@ -124,23 +72,18 @@ pub fn minimize_adam(objective: &dyn Objective, x0: &[f64], opts: &AdamOptions) 
         }
 
         let gnorm = grad.iter().fold(0.0_f64, |a, &g| a.max(g.abs()));
-        if gnorm < opts.gradient_tolerance {
-            converged = true;
-            break;
-        }
-        if since_improvement >= opts.patience {
-            converged = true;
+        if gnorm < GRADIENT_TOLERANCE || since_improvement >= PATIENCE {
             break;
         }
 
-        let b1t = 1.0 - opts.beta1.powi(t as i32);
-        let b2t = 1.0 - opts.beta2.powi(t as i32);
+        let b1t = 1.0 - BETA1.powi(t as i32);
+        let b2t = 1.0 - BETA2.powi(t as i32);
         for i in 0..n {
-            m[i] = opts.beta1 * m[i] + (1.0 - opts.beta1) * grad[i];
-            v[i] = opts.beta2 * v[i] + (1.0 - opts.beta2) * grad[i] * grad[i];
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * grad[i];
+            v[i] = BETA2 * v[i] + (1.0 - BETA2) * grad[i] * grad[i];
             let mh = m[i] / b1t;
             let vh = v[i] / b2t;
-            x[i] -= opts.learning_rate * mh / (vh.sqrt() + opts.epsilon);
+            x[i] -= learning_rate * mh / (vh.sqrt() + EPSILON);
         }
     }
 
@@ -151,227 +94,25 @@ pub fn minimize_adam(objective: &dyn Objective, x0: &[f64], opts: &AdamOptions) 
         x: best_x,
         value: best_val,
         iterations,
-        converged,
     }
-}
-
-/// Plain gradient descent with backtracking line search (Armijo rule).
-/// Slower than Adam on the TE objectives but useful as a deterministic
-/// cross-check in tests.
-pub fn minimize_gradient_descent(
-    objective: &dyn Objective,
-    x0: &[f64],
-    max_iters: usize,
-    tolerance: f64,
-) -> OptResult {
-    let n = objective.dim();
-    let mut x = x0.to_vec();
-    let mut grad = vec![0.0; n];
-    let mut converged = false;
-    let mut iterations = 0usize;
-    let mut value = {
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        objective.eval(&x, &mut grad)
-    };
-
-    for it in 1..=max_iters {
-        iterations = it;
-        let gnorm2: f64 = grad.iter().map(|g| g * g).sum();
-        if gnorm2.sqrt() < tolerance {
-            converged = true;
-            break;
-        }
-        // Backtracking line search.
-        let mut step = 1.0;
-        let mut improved = false;
-        for _ in 0..40 {
-            let cand: Vec<f64> = x
-                .iter()
-                .zip(&grad)
-                .map(|(&xi, &gi)| xi - step * gi)
-                .collect();
-            let mut cand_grad = vec![0.0; n];
-            let cand_val = objective.eval(&cand, &mut cand_grad);
-            if cand_val <= value - 1e-4 * step * gnorm2 {
-                x = cand;
-                value = cand_val;
-                grad = cand_grad;
-                improved = true;
-                break;
-            }
-            step *= 0.5;
-        }
-        if !improved {
-            converged = true;
-            break;
-        }
-    }
-
-    OptResult {
-        x,
-        value,
-        iterations,
-        converged,
-    }
-}
-
-/// A geometric program in standard form:
-///
-/// ```text
-/// minimize    f0(x)
-/// subject to  f_i(x) <= 1     (posynomials)
-/// ```
-///
-/// solved in the log domain with an exterior quadratic penalty on the
-/// constraints and Adam as the inner minimizer. The penalty weight is
-/// increased geometrically until all constraints are satisfied to tolerance.
-#[derive(Debug, Clone)]
-pub struct GpProblem {
-    /// Number of variables.
-    pub num_vars: usize,
-    /// Posynomial objective.
-    pub objective: Posynomial,
-    /// Posynomial constraints, each interpreted as `p(x) <= 1`.
-    pub constraints: Vec<Posynomial>,
-}
-
-impl GpProblem {
-    /// Creates a GP with the given number of variables and objective.
-    pub fn new(num_vars: usize, objective: Posynomial) -> Self {
-        Self {
-            num_vars,
-            objective,
-            constraints: Vec::new(),
-        }
-    }
-
-    /// Adds a `p(x) <= 1` constraint.
-    pub fn add_constraint_le_one(&mut self, p: Posynomial) {
-        self.constraints.push(p);
-    }
-
-    /// Solves the GP starting from the all-ones point (log-domain origin)
-    /// unless `x0` is provided. Returns the solution in the *original*
-    /// domain (strictly positive values).
-    pub fn solve(&self, x0: Option<&[f64]>) -> OptResult {
-        let n = self.num_vars;
-        let y0: Vec<f64> = match x0 {
-            Some(x) => x.iter().map(|&v| v.max(1e-12).ln()).collect(),
-            None => vec![0.0; n],
-        };
-
-        let mut y = y0;
-        let mut penalty = 10.0;
-        let mut result_value = f64::INFINITY;
-        // Penalty loop: each round minimizes objective + penalty * violations².
-        for _round in 0..12 {
-            let objective = self.objective.clone();
-            let constraints = self.constraints.clone();
-            let pen = penalty;
-            let obj_fn = (n, move |yv: &[f64], grad: &mut [f64]| -> f64 {
-                // Objective in the log domain: log f0 is convex; minimizing
-                // f0 is equivalent to minimizing log f0.
-                let mut value = objective.eval_log(yv);
-                objective.accumulate_log_gradient(yv, 1.0, grad);
-                for c in &constraints {
-                    let g = c.eval_log(yv); // log p(x); feasible iff <= 0
-                    if g > 0.0 {
-                        value += pen * g * g;
-                        c.accumulate_log_gradient(yv, 2.0 * pen * g, grad);
-                    }
-                }
-                value
-            });
-            let opts = AdamOptions {
-                max_iters: 4_000,
-                learning_rate: 0.03,
-                ..AdamOptions::default()
-            };
-            let res = minimize_adam(&obj_fn, &y, &opts);
-            // Polish with line-search gradient descent: the penalized
-            // objective is smooth, so the Armijo search closes the last gap
-            // that a fixed-step method leaves open.
-            let polished = minimize_gradient_descent(&obj_fn, &res.x, 500, 1e-10);
-            y = if polished.value <= res.value {
-                polished.x.clone()
-            } else {
-                res.x.clone()
-            };
-            result_value = polished.value.min(res.value);
-
-            let worst_violation = self
-                .constraints
-                .iter()
-                .map(|c| c.eval_log(&y))
-                .fold(0.0_f64, f64::max);
-            if worst_violation <= 1e-6 {
-                break;
-            }
-            penalty *= 10.0;
-        }
-
-        OptResult {
-            value: self.objective.eval_log(&y).exp(),
-            x: y.iter().map(|&v| v.exp()).collect(),
-            iterations: 0,
-            converged: result_value.is_finite(),
-        }
-    }
-}
-
-/// Minimizes the (smoothed) maximum of several differentiable quantities.
-///
-/// `values_and_jacobian(x, values, jac)` must fill `values` (length `k`) and
-/// the dense Jacobian `jac[k][n]`. The helper smooths the max with
-/// temperature `tau` and minimizes with Adam; it is used by `coyote-core` to
-/// minimize the worst-case link utilization over edges and demand matrices.
-pub fn minimize_smooth_max<F>(
-    n: usize,
-    k: usize,
-    values_and_jacobian: F,
-    x0: &[f64],
-    tau: f64,
-    opts: &AdamOptions,
-) -> OptResult
-where
-    F: Fn(&[f64], &mut [f64], &mut [Vec<f64>]),
-{
-    let obj = (n, move |x: &[f64], grad: &mut [f64]| -> f64 {
-        let mut values = vec![0.0; k];
-        let mut jac = vec![vec![0.0; n]; k];
-        values_and_jacobian(x, &mut values, &mut jac);
-        let weights = smooth_max_weights(&values, tau);
-        for (w, row) in weights.iter().zip(&jac) {
-            for i in 0..n {
-                grad[i] += w * row[i];
-            }
-        }
-        smooth_max(&values, tau)
-    });
-    minimize_adam(&obj, x0, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monomial::Monomial;
 
     #[test]
     fn adam_minimizes_a_quadratic() {
         // f(x) = (x0 - 3)^2 + 2 (x1 + 1)^2
-        let obj = (2usize, |x: &[f64], g: &mut [f64]| -> f64 {
-            g[0] += 2.0 * (x[0] - 3.0);
-            g[1] += 4.0 * (x[1] + 1.0);
-            (x[0] - 3.0).powi(2) + 2.0 * (x[1] + 1.0).powi(2)
-        });
         let res = minimize_adam(
-            &obj,
-            &[0.0, 0.0],
-            &AdamOptions {
-                max_iters: 20_000,
-                learning_rate: 0.05,
-                ..Default::default()
+            |x, g| {
+                g[0] += 2.0 * (x[0] - 3.0);
+                g[1] += 4.0 * (x[1] + 1.0);
+                (x[0] - 3.0).powi(2) + 2.0 * (x[1] + 1.0).powi(2)
             },
+            &[0.0, 0.0],
+            0.05,
+            20_000,
         );
         assert!(res.value < 1e-6, "value = {}", res.value);
         assert!((res.x[0] - 3.0).abs() < 1e-2);
@@ -379,90 +120,16 @@ mod tests {
     }
 
     #[test]
-    fn gradient_descent_minimizes_a_quadratic() {
-        let obj = (1usize, |x: &[f64], g: &mut [f64]| -> f64 {
-            g[0] += 2.0 * (x[0] - 5.0);
-            (x[0] - 5.0).powi(2)
-        });
-        let res = minimize_gradient_descent(&obj, &[0.0], 500, 1e-10);
-        assert!((res.x[0] - 5.0).abs() < 1e-4);
-        assert!(res.converged);
-    }
-
-    #[test]
     fn adam_respects_iteration_limit() {
-        let obj = (1usize, |x: &[f64], g: &mut [f64]| -> f64 {
-            g[0] += 1.0; // constant slope: never converges
-            x[0]
-        });
         let res = minimize_adam(
-            &obj,
-            &[0.0],
-            &AdamOptions {
-                max_iters: 50,
-                patience: 1_000,
-                ..Default::default()
+            |x, g| {
+                g[0] += 1.0; // constant slope: never converges
+                x[0]
             },
+            &[0.0],
+            0.05,
+            50,
         );
         assert_eq!(res.iterations, 50);
-    }
-
-    #[test]
-    fn gp_problem_solves_a_classic_example() {
-        // minimize 1/(x*y) subject to x + y <= 1  -> x = y = 1/2, obj = 4.
-        let objective = Posynomial::from_monomial(Monomial::new(1.0, vec![(0, -1.0), (1, -1.0)]));
-        let mut gp = GpProblem::new(2, objective);
-        gp.add_constraint_le_one(Posynomial::new(vec![Monomial::var(0), Monomial::var(1)]));
-        let res = gp.solve(Some(&[0.2, 0.2]));
-        assert!((res.value - 4.0).abs() < 0.05, "value = {}", res.value);
-        assert!((res.x[0] - 0.5).abs() < 0.02);
-        assert!((res.x[1] - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn gp_problem_with_asymmetric_constraint() {
-        // minimize 1/x subject to 2x <= 1 -> x = 1/2, objective 2.
-        let objective = Posynomial::from_monomial(Monomial::new(1.0, vec![(0, -1.0)]));
-        let mut gp = GpProblem::new(1, objective);
-        gp.add_constraint_le_one(Posynomial::from_monomial(Monomial::new(
-            2.0,
-            vec![(0, 1.0)],
-        )));
-        let res = gp.solve(None);
-        assert!((res.x[0] - 0.5).abs() < 0.02, "x = {}", res.x[0]);
-        assert!((res.value - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn smooth_max_minimizer_balances_two_terms() {
-        // minimize max(x, 1 - x): optimum at x = 0.5 with value 0.5.
-        let res = minimize_smooth_max(
-            1,
-            2,
-            |x, values, jac| {
-                values[0] = x[0];
-                values[1] = 1.0 - x[0];
-                jac[0][0] = 1.0;
-                jac[1][0] = -1.0;
-            },
-            &[0.0],
-            1e-3,
-            &AdamOptions {
-                max_iters: 5_000,
-                learning_rate: 0.02,
-                ..Default::default()
-            },
-        );
-        assert!((res.x[0] - 0.5).abs() < 1e-2, "x = {}", res.x[0]);
-        assert!((res.value - 0.5).abs() < 1e-2);
-    }
-
-    #[test]
-    fn objective_trait_dim_mismatch_panics() {
-        let obj = (2usize, |_x: &[f64], _g: &mut [f64]| 0.0);
-        let result = std::panic::catch_unwind(|| {
-            minimize_adam(&obj, &[0.0], &AdamOptions::default());
-        });
-        assert!(result.is_err());
     }
 }

@@ -1,8 +1,9 @@
 //! Differential tests: the revised simplex against the dense oracle.
 //!
-//! Every case builds one [`LpProblem`] and solves two clones of it — one
-//! pinned to [`SolverBackend::Revised`], one to [`SolverBackend::Dense`] —
-//! and requires the outcomes to agree:
+//! Every case builds one [`LpProblem`], solves it with the production
+//! solver ([`LpProblem::solve`]) and with the dense tableau
+//! (`crate::simplex`, compiled only for tests), and requires the outcomes
+//! to agree:
 //!
 //! * both optimal → objectives within `1e-6` (relative) and the revised
 //!   solution satisfies every constraint and bound;
@@ -11,12 +12,13 @@
 //!
 //! The generated families (well over 200 accepted cases between them) cover
 //! feasible, infeasible, unbounded and deliberately degenerate instances;
-//! the fixed cases replay the PR 5 regression LPs (Beale cycling,
+//! the fixed cases replay the dense kernel's regression LPs (Beale cycling,
 //! tiny-objective rays, duplicate and contradictory equalities, min-cost
 //! flow) plus a ring-network flow LP shaped like the worst-case pipeline's.
 
-use coyote_lp::error::LpError;
-use coyote_lp::{LpProblem, Relation, Sense, SolverBackend, VarId};
+use crate::error::LpError;
+use crate::simplex;
+use crate::{LpProblem, LpSolution, Relation, Sense, VarId};
 use proptest::prelude::*;
 
 /// Bounds of one generated variable, decoded from generator draws.
@@ -151,22 +153,14 @@ impl LpSpec {
     }
 }
 
-/// Solves one problem with both backends.
-fn solve_both(
-    lp: &LpProblem,
-) -> (
-    Result<coyote_lp::LpSolution, LpError>,
-    Result<coyote_lp::LpSolution, LpError>,
-) {
-    let mut revised = lp.clone();
-    revised.set_backend(SolverBackend::Revised);
-    let mut dense = lp.clone();
-    dense.set_backend(SolverBackend::Dense);
-    (revised.solve(), dense.solve())
+/// Solves one problem with the revised solver and the dense oracle.
+fn solve_both(lp: &LpProblem) -> (Result<LpSolution, LpError>, Result<LpSolution, LpError>) {
+    let dense = lp.validate().and_then(|()| simplex::solve(lp));
+    (lp.solve(), dense)
 }
 
-/// Coarse outcome class used to compare error paths across backends.
-fn class(r: &Result<coyote_lp::LpSolution, LpError>) -> &'static str {
+/// Coarse outcome class used to compare error paths across solvers.
+fn class(r: &Result<LpSolution, LpError>) -> &'static str {
     match r {
         Ok(_) => "optimal",
         Err(LpError::Infeasible { .. }) => "infeasible",
@@ -182,7 +176,7 @@ fn differential(spec: &LpSpec) -> Result<(), String> {
     let (rev, den) = solve_both(&lp);
     if class(&rev) != class(&den) {
         return Err(format!(
-            "backends disagree: revised {} vs dense {} on {spec:?}",
+            "solvers disagree: revised {} vs dense {} on {spec:?}",
             class(&rev),
             class(&den)
         ));
@@ -315,14 +309,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed regression instances, replayed verbatim against both backends.
+// Fixed regression instances, replayed verbatim against both solvers.
 // ---------------------------------------------------------------------------
 
 fn assert_close(a: f64, b: f64) {
     assert!((a - b).abs() < 1e-6, "{a} != {b}");
 }
 
-/// Beale's cycling example (PR 5 regression): both backends must escape the
+/// Beale's cycling example (regression): both solvers must escape the
 /// Dantzig cycle via the stall-triggered Bland switch and agree on the
 /// optimum 1/20.
 #[test]
@@ -398,8 +392,8 @@ fn duplicate_equality_rows_match_on_both_backends() {
     assert_close(rev.value(x), 3.0);
 }
 
-/// PR 5 regression: contradictory equalities surface as `Infeasible` from
-/// both backends, never as a silently wrong answer.
+/// Regression: contradictory equalities surface as `Infeasible` from
+/// both solvers, never as a silently wrong answer.
 #[test]
 fn contradictory_equalities_match_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Minimize);
@@ -437,7 +431,7 @@ fn min_cost_flow_style_lp_matches_on_both_backends() {
 /// LPs: per-arc flow variables, per-node conservation equalities, tight arc
 /// capacities forcing the unit of demand to split across both directions of
 /// the ring. Alternative optima abound (any 0.4 ≤ split ≤ 0.6 is optimal),
-/// so only the objective is compared across backends.
+/// so only the objective is compared across solvers.
 #[test]
 fn ring_network_flow_lp_matches_on_both_backends() {
     const N: usize = 6; // nodes 0..6 in a ring, demand 1.0 from node 0 to 3

@@ -1,10 +1,10 @@
 //! # coyote-lp
 //!
-//! A self-contained, two-phase **simplex** linear-programming solver with two
-//! backends: a revised simplex over a sparse CSR constraint matrix with an
-//! incrementally updated LU basis factorization (the default), and the
-//! original dense tableau kept as a differential oracle
-//! ([`SolverBackend::Dense`], env `COYOTE_LP_BACKEND=dense`).
+//! A self-contained, two-phase **revised simplex** linear-programming
+//! solver over a sparse CSR constraint matrix with an incrementally updated
+//! LU basis factorization. It is the only LP kernel the library runs. The
+//! crate's tests keep a dense tableau simplex as a differential oracle; it
+//! is compiled only under `cfg(test)`.
 //!
 //! The COYOTE paper solves several families of linear programs:
 //!
@@ -25,9 +25,9 @@
 //! Repeated solves over growing constraint systems (the constraint-generation
 //! loop in `coyote-core::worst_case`) can warm-start: phase-one replay via
 //! [`PhaseOneCache`] is bit-identical to a cold solve and is on by default
-//! ([`set_warm_starts`], env `COYOTE_LP_WARM=0` to disable); basis restore via
-//! [`WarmBasis`] survives row/column appends and falls back to a cold solve
-//! when the restored basis is no longer primal feasible.
+//! ([`set_warm_starts`] turns it off, for cold reference runs); basis
+//! restore via [`WarmBasis`] survives row/column appends and falls back to a
+//! cold solve when the restored basis is no longer primal feasible.
 //!
 //! ## Usage
 //!
@@ -49,18 +49,18 @@
 #![deny(unsafe_code)]
 
 mod basis;
+#[cfg(test)]
+mod differential;
 pub mod error;
 pub mod model;
 pub mod revised;
-pub mod simplex;
+#[cfg(test)]
+mod simplex;
 pub mod solution;
 pub mod sparse;
 
 pub use error::LpError;
-pub use model::{
-    default_backend, set_warm_starts, warm_starts_enabled, LpProblem, Relation, Sense,
-    SolverBackend, VarId,
-};
+pub use model::{set_warm_starts, LpProblem, Relation, Sense, VarId};
 pub use revised::{BasisKey, PhaseOneCache, RowKey, WarmBasis};
 pub use solution::{LpSolution, SolveStats};
 pub use sparse::CsrMatrix;

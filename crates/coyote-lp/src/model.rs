@@ -2,52 +2,23 @@
 
 use crate::error::LpError;
 use crate::revised::{self, PhaseOneCache, WarmBasis};
-use crate::simplex;
 use crate::solution::LpSolution;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Which simplex implementation solves the problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverBackend {
-    /// Sparse revised simplex with LU/eta basis updates (the default).
-    Revised,
-    /// Dense two-phase tableau — the differential oracle. Kept for
-    /// cross-checking the revised implementation; no warm-start support.
-    Dense,
-}
-
-/// Process-wide default backend. `COYOTE_LP_BACKEND=dense` selects the
-/// dense oracle; anything else (including unset) selects the revised
-/// simplex.
-pub fn default_backend() -> SolverBackend {
-    static DEFAULT: OnceLock<SolverBackend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("COYOTE_LP_BACKEND") {
-        Ok(v) if v.eq_ignore_ascii_case("dense") => SolverBackend::Dense,
-        _ => SolverBackend::Revised,
-    })
-}
 
 static WARM_STARTS: AtomicBool = AtomicBool::new(true);
-static WARM_ENV: OnceLock<bool> = OnceLock::new();
 
-/// Globally enables/disables warm starts for [`LpProblem::solve_cached`].
-/// Defaults to enabled; `COYOTE_LP_WARM=0` disables at startup. Explicit
+/// Globally enables/disables phase-one replay in
+/// [`LpProblem::solve_cached`] (enabled by default). Replay is
+/// bit-identical to a cold solve, so this only changes how much work a
+/// solve does; tests use it to get cold reference results. Explicit
 /// [`LpProblem::solve_warm`] calls are not affected — that API is an
 /// explicit opt-in by the caller.
 pub fn set_warm_starts(enabled: bool) {
     WARM_STARTS.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether warm starts are currently enabled (see [`set_warm_starts`]).
-pub fn warm_starts_enabled() -> bool {
-    let env_ok = *WARM_ENV.get_or_init(|| {
-        !matches!(
-            std::env::var("COYOTE_LP_WARM").as_deref(),
-            Ok("0") | Ok("off")
-        )
-    });
-    env_ok && WARM_STARTS.load(Ordering::Relaxed)
+fn warm_starts_enabled() -> bool {
+    WARM_STARTS.load(Ordering::Relaxed)
 }
 
 /// Handle to a decision variable of an [`LpProblem`].
@@ -110,8 +81,6 @@ pub struct LpProblem {
     /// Hard cap on simplex pivots; defaults to a generous bound derived from
     /// the problem size when `None`.
     pub(crate) iteration_limit: Option<usize>,
-    /// Per-problem backend override; [`default_backend`] when `None`.
-    pub(crate) backend: Option<SolverBackend>,
 }
 
 impl LpProblem {
@@ -122,14 +91,7 @@ impl LpProblem {
             vars: Vec::new(),
             constraints: Vec::new(),
             iteration_limit: None,
-            backend: None,
         }
-    }
-
-    /// Overrides the solver backend for this problem (default:
-    /// [`default_backend`]).
-    pub fn set_backend(&mut self, backend: SolverBackend) {
-        self.backend = Some(backend);
     }
 
     /// Adds a variable with bounds `[lower, upper]` and objective
@@ -242,29 +204,24 @@ impl LpProblem {
         Ok(())
     }
 
-    /// Solves the problem with the configured backend (sparse revised
-    /// simplex by default, dense tableau when selected).
+    /// Solves the problem with the revised simplex.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
         self.validate()?;
-        match self.backend.unwrap_or_else(default_backend) {
-            SolverBackend::Revised => revised::solve(self),
-            SolverBackend::Dense => simplex::solve(self),
-        }
+        revised::solve(self)
     }
 
     /// Solves with phase-one replay: when `cache` holds the phase-one basis
     /// of an identical constraint system (same variables, bounds and
     /// constraints — the objective may differ), phase one is skipped and
     /// the result is bit-identical to a cold [`LpProblem::solve`]. Misses
-    /// fall back to a cold solve and prime the cache. No-op equivalent to
-    /// `solve()` when warm starts are disabled ([`set_warm_starts`]) or the
-    /// dense backend is selected.
+    /// fall back to a cold solve and prime the cache. Equivalent to
+    /// `solve()` when warm starts are disabled ([`set_warm_starts`]).
     pub fn solve_cached(&self, cache: &mut PhaseOneCache) -> Result<LpSolution, LpError> {
         self.validate()?;
-        match self.backend.unwrap_or_else(default_backend) {
-            SolverBackend::Dense => simplex::solve(self),
-            SolverBackend::Revised if !warm_starts_enabled() => revised::solve(self),
-            SolverBackend::Revised => revised::solve_cached(self, cache),
+        if warm_starts_enabled() {
+            revised::solve_cached(self, cache)
+        } else {
+            revised::solve(self)
         }
     }
 
@@ -275,17 +232,10 @@ impl LpProblem {
     /// or abandoned (cold fallback) as needed. Reaches the same optimal
     /// objective as a cold solve; the reported vertex may differ on
     /// degenerate problems. Ignores the global warm-start toggle — calling
-    /// this API is the opt-in. Falls back to a plain cold solve on the
-    /// dense backend (which returns an empty reusable basis).
+    /// this API is the opt-in.
     pub fn solve_warm(&self, warm: Option<&WarmBasis>) -> Result<(LpSolution, WarmBasis), LpError> {
         self.validate()?;
-        match self.backend.unwrap_or_else(default_backend) {
-            SolverBackend::Dense => {
-                let sol = simplex::solve(self)?;
-                Ok((sol, WarmBasis { keys: Vec::new() }))
-            }
-            SolverBackend::Revised => revised::solve_warm(self, warm),
-        }
+        revised::solve_warm(self, warm)
     }
 }
 

@@ -1,61 +1,22 @@
-//! Dense two-phase simplex implementation.
+//! Dense two-phase simplex: the differential oracle of the revised kernel.
 //!
-//! The solver converts the user model to standard form (non-negative
-//! variables, all constraints as rows with non-negative right-hand sides),
-//! runs phase one with artificial variables to find a basic feasible
-//! solution, then phase two on the user objective. Pivot selection uses
+//! Compiled only for the crate's tests (`differential.rs` solves every case
+//! with both solvers and requires them to agree). The solver converts the
+//! user model to standard form (non-negative variables, all constraints as
+//! rows with non-negative right-hand sides), runs phase one with artificial
+//! variables to find a basic feasible solution, then phase two on the user
+//! objective, over an explicit dense tableau. Pivot selection uses
 //! Dantzig's rule with an automatic switch to Bland's rule when progress
-//! stalls, which guarantees termination.
-//!
-//! The implementation favours robustness over raw speed: the LPs produced by
-//! the COYOTE pipeline have a few thousand variables at most, well within
-//! reach of a dense tableau.
+//! stalls, which guarantees termination. Tolerances are the revised
+//! kernel's, so both classify every instance the same way.
 
 use crate::error::LpError;
 use crate::model::{LpProblem, Relation, Sense};
+use crate::revised::{
+    DUAL_TOL, EPS, MAX_REFRESH_ROUNDS, NOISE_RC_TOL, PHASE1_TOL, PIVOT_TOL, RHS_PERTURBATION,
+    SNAP_TOL, STALL_LIMIT,
+};
 use crate::solution::{LpSolution, SolveStats};
-
-/// Numerical tolerance for pivot magnitudes, ratio tests and feasibility.
-pub(crate) const EPS: f64 = 1e-9;
-/// Dual-feasibility tolerance: a column enters the basis only when its
-/// reduced cost is below −DUAL_TOL. Looser than [`EPS`] on purpose — after
-/// a cost-row reprice the reduced costs are only clean to ~1e-8 on the
-/// sweep grid's 500-row flow LPs, and an entering threshold tighter than
-/// that sends the solver into hundreds of thousands of zero-progress pivots
-/// chasing rounding noise. The objective error this tolerates is far below
-/// every downstream consumer's tolerance.
-pub(crate) const DUAL_TOL: f64 = 1e-7;
-/// A reduced cost above this (negative) threshold is treated as numerical
-/// noise when its column admits no pivot: after thousands of dense
-/// eliminations the incrementally-updated cost row drifts by ~1e-8, so a
-/// column with reduced cost −2e-9 and entries ~1e-10 is a zero column, not
-/// a certificate of unboundedness. Genuinely unbounded LPs enter with
-/// decisively negative reduced costs (|rc| ≫ this).
-pub(crate) const NOISE_RC_TOL: f64 = 1e-6;
-/// Refresh rounds per phase: after a phase claims optimality its cost row
-/// is recomputed from scratch against the current basis (see `reprice`) and
-/// the phase re-runs if fresh reduced costs still show a descent direction.
-/// Bounds the optimize→verify loop that repairs cost-row drift.
-pub(crate) const MAX_REFRESH_ROUNDS: usize = 4;
-/// Residual tolerated at the end of phase one before declaring infeasible.
-/// Slightly loose so that the anti-degeneracy perturbation (see
-/// [`RHS_PERTURBATION`]) can never flip a feasible flow LP to "infeasible".
-pub(crate) const PHASE1_TOL: f64 = 1e-5;
-/// Consecutive non-improving pivots before switching to Bland's rule.
-pub(crate) const STALL_LIMIT: usize = 64;
-/// Minimum magnitude for a *preferred* pivot element in the ratio test;
-/// entries in (EPS, PIVOT_TOL] are used only when no better pivot exists.
-pub(crate) const PIVOT_TOL: f64 = 1e-7;
-/// Entries this close to zero after an elimination step are snapped to an
-/// exact zero (catastrophic-cancellation residue, ~1e3 × machine epsilon
-/// below the decision tolerance EPS).
-pub(crate) const SNAP_TOL: f64 = 1e-12;
-/// Deterministic right-hand-side perturbation that breaks the massive
-/// degeneracy of flow LPs (many zero-supply conservation rows). The
-/// perturbation is far below the feasibility tolerance, so reported
-/// solutions are unaffected, but it makes ties in the ratio test — the
-/// cause of degenerate pivot stalls — vanishingly rare.
-pub(crate) const RHS_PERTURBATION: f64 = 1e-7;
 
 /// How an original variable maps to standard-form column(s).
 #[derive(Debug, Clone)]
@@ -195,16 +156,10 @@ struct Tableau {
     basis: Vec<usize>,
     m: usize,
     total_cols: usize,
-    /// Numerical-event tallies, accumulated locally (plain integers, no
-    /// global sink traffic) and reported to `coyote-obs` once per solve.
+    /// Numerical-event tallies, reported in [`SolveStats`].
     refresh_rounds: usize,
     pivot_guard_triggers: usize,
     noise_clamps: usize,
-    snapped_entries: usize,
-    /// Whether an observability sink was installed when the solve started;
-    /// keeps the per-entry snap tally out of the hot elimination loop on
-    /// unprofiled runs (the tally accumulator blocks vectorization).
-    track_tallies: bool,
 }
 
 impl Tableau {
@@ -239,26 +194,9 @@ impl Tableau {
                 // that cancels to ~1e-12 is noise, and letting it linger
                 // seeds ghost columns that later look like descent
                 // directions with no valid pivot (spurious "unbounded").
-                //
-                // Two bodies for the hottest loop in the solver: the snap
-                // tally adds a serial accumulator that blocks
-                // vectorization, so it only runs when a profiling sink was
-                // installed at solve start. The snap decision itself (and
-                // thus every number produced) is identical on both paths.
-                if self.track_tallies {
-                    let mut snapped = 0usize;
-                    for c in 0..=self.total_cols {
-                        let x = self.a[r][c] - factor * self.a[row][c];
-                        let snap = x.abs() < SNAP_TOL;
-                        snapped += (snap && x != 0.0) as usize;
-                        self.a[r][c] = if snap { 0.0 } else { x };
-                    }
-                    self.snapped_entries += snapped;
-                } else {
-                    for c in 0..=self.total_cols {
-                        let x = self.a[r][c] - factor * self.a[row][c];
-                        self.a[r][c] = if x.abs() < SNAP_TOL { 0.0 } else { x };
-                    }
+                for c in 0..=self.total_cols {
+                    let x = self.a[r][c] - factor * self.a[row][c];
+                    self.a[r][c] = if x.abs() < SNAP_TOL { 0.0 } else { x };
                 }
                 self.a[r][col] = 0.0;
             }
@@ -458,9 +396,8 @@ fn noise_column(tab: &Tableau, col: usize) -> bool {
     tab.cost[col] >= -NOISE_RC_TOL && tab.column_is_noise(col)
 }
 
-/// Solves `problem` (already validated) with the two-phase simplex method.
+/// Solves `problem` (already validated) with the dense two-phase simplex.
 pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
-    let _span = coyote_obs::span("lp.solve");
     let sf = build_standard_form(problem);
     let m = sf.rows.len();
     let n = sf.num_cols;
@@ -570,8 +507,6 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
         refresh_rounds: 0,
         pivot_guard_triggers: 0,
         noise_clamps: 0,
-        snapped_entries: 0,
-        track_tallies: coyote_obs::enabled(),
     };
 
     let limit = problem
@@ -652,338 +587,10 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     stats.refresh_rounds = tab.refresh_rounds;
     stats.pivot_guard_triggers = tab.pivot_guard_triggers;
     stats.noise_clamps = tab.noise_clamps;
-    stats.snapped_entries = tab.snapped_entries;
-    report_solve(&stats);
 
     Ok(LpSolution {
         objective,
         values,
         stats,
     })
-}
-
-/// Publishes one completed solve's tallies to the global obs sink (a single
-/// `enabled()` atomic load when profiling is off). All quantities are exact
-/// per-solve workload counts, so their totals are bit-identical no matter
-/// how solves are distributed over worker threads.
-pub(crate) fn report_solve(stats: &SolveStats) {
-    if !coyote_obs::enabled() {
-        return;
-    }
-    let pivots = (stats.phase1_pivots + stats.phase2_pivots) as u64;
-    coyote_obs::counter("lp.solves", 1);
-    coyote_obs::counter("lp.pivots", pivots);
-    coyote_obs::counter("lp.phase1_pivots", stats.phase1_pivots as u64);
-    coyote_obs::counter("lp.phase2_pivots", stats.phase2_pivots as u64);
-    coyote_obs::counter("lp.refresh_rounds", stats.refresh_rounds as u64);
-    coyote_obs::counter("lp.pivot_guard_triggers", stats.pivot_guard_triggers as u64);
-    coyote_obs::counter("lp.noise_clamps", stats.noise_clamps as u64);
-    coyote_obs::counter("lp.snapped_entries", stats.snapped_entries as u64);
-    coyote_obs::observe("lp.pivots_per_solve", pivots);
-    coyote_obs::observe("lp.rows_per_solve", stats.rows as u64);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::{LpProblem, Relation, Sense};
-
-    fn assert_close(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-6, "{a} != {b}");
-    }
-
-    #[test]
-    fn maximize_with_le_constraints() {
-        // Classic textbook LP: max 3x+2y, x+y<=4, x+3y<=6 -> (4, 0), obj 12.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 3.0);
-        let y = lp.add_nonneg_var("y", 2.0);
-        lp.add_constraint("c1", &[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        lp.add_constraint("c2", &[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 12.0);
-        assert_close(sol.value(x), 4.0);
-        assert_close(sol.value(y), 0.0);
-    }
-
-    #[test]
-    fn minimize_with_ge_constraints_needs_phase_one() {
-        // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3  -> x=7, y=3, obj 23.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", 2.0, f64::INFINITY, 2.0);
-        let y = lp.add_var("y", 3.0, f64::INFINITY, 3.0);
-        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 23.0);
-        assert_close(sol.value(x), 7.0);
-        assert_close(sol.value(y), 3.0);
-    }
-
-    #[test]
-    fn equality_constraints() {
-        // min x + y s.t. x + 2y == 4, x - y == 1 -> x=2, y=1, obj 3.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("e1", &[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
-        lp.add_constraint("e2", &[(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.value(x), 2.0);
-        assert_close(sol.value(y), 1.0);
-    }
-
-    #[test]
-    fn detects_infeasible() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", 0.0, 1.0, 1.0);
-        lp.add_constraint("c", &[(x, 1.0)], Relation::Ge, 5.0);
-        assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
-    }
-
-    #[test]
-    fn detects_unbounded() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        lp.add_constraint("c", &[(x, -1.0)], Relation::Le, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    #[test]
-    fn free_variables_are_split() {
-        // min |style| problem: min x s.t. x >= -5 with x free -> -5.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        lp.add_constraint("lb", &[(x, 1.0)], Relation::Ge, -5.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, -5.0);
-        assert_close(sol.value(x), -5.0);
-    }
-
-    #[test]
-    fn upper_bounded_only_variable() {
-        // max x with x <= 3 (no lower bound) and x >= -10 as a row.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", f64::NEG_INFINITY, 3.0, 1.0);
-        lp.add_constraint("lb", &[(x, 1.0)], Relation::Ge, -10.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.value(x), 3.0);
-    }
-
-    #[test]
-    fn shifted_lower_bounds_and_finite_upper_bounds() {
-        // max x + y with 1 <= x <= 2, 0.5 <= y <= 0.75.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0, 2.0, 1.0);
-        let y = lp.add_var("y", 0.5, 0.75, 1.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 2.75);
-        assert_close(sol.value(x), 2.0);
-        assert_close(sol.value(y), 0.75);
-    }
-
-    #[test]
-    fn negative_rhs_rows_are_handled() {
-        // min x s.t. -x <= -3  (i.e. x >= 3).
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        lp.add_constraint("c", &[(x, -1.0)], Relation::Le, -3.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.value(x), 3.0);
-    }
-
-    #[test]
-    fn degenerate_problems_terminate() {
-        // A problem with many redundant constraints (degeneracy stress).
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        for i in 0..20 {
-            let s = 1.0 + (i as f64) * 0.0; // identical rows
-            lp.add_constraint(format!("r{i}"), &[(x, 1.0), (y, 1.0)], Relation::Le, s);
-        }
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 1.0);
-    }
-
-    #[test]
-    fn eval_matches_constraints_at_optimum() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 5.0);
-        let y = lp.add_nonneg_var("y", 4.0);
-        lp.add_constraint("c1", &[(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
-        lp.add_constraint("c2", &[(x, 1.0), (y, 2.0)], Relation::Le, 6.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 21.0);
-        assert!(sol.eval(&[(x, 6.0), (y, 4.0)]) <= 24.0 + 1e-6);
-        assert!(sol.eval(&[(x, 1.0), (y, 2.0)]) <= 6.0 + 1e-6);
-    }
-
-    #[test]
-    fn min_cost_flow_style_lp() {
-        // Send 2 units from s to t over two parallel paths with costs 1 and 3
-        // and capacities 1.5 each: cheapest sends 1.5 on the cheap path.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let f1 = lp.add_var("f1", 0.0, 1.5, 1.0);
-        let f2 = lp.add_var("f2", 0.0, 1.5, 3.0);
-        lp.add_constraint("demand", &[(f1, 1.0), (f2, 1.0)], Relation::Eq, 2.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.value(f1), 1.5);
-        assert_close(sol.value(f2), 0.5);
-        assert_close(sol.objective, 3.0);
-    }
-
-    #[test]
-    fn zero_constraint_problem_uses_bounds_only() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", -2.0, 7.0, 1.5);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.value(x), -2.0);
-        assert_close(sol.objective, -3.0);
-    }
-}
-
-/// Degenerate and pathological instances: cycling-prone pivots, redundant
-/// systems, and the error paths the worst-case LPs rely on.
-#[cfg(test)]
-mod edge_case_tests {
-    use crate::error::LpError;
-    use crate::model::{LpProblem, Relation, Sense};
-
-    fn assert_close(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-6, "{a} != {b}");
-    }
-
-    /// Beale's classic cycling example: plain Dantzig pivoting loops forever
-    /// on it; the stall-triggered switch to Bland's rule must terminate at
-    /// the optimum (objective 1/20 at x = (1/25, 0, 1, 0)).
-    #[test]
-    fn beale_cycling_instance_terminates_at_optimum() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x1 = lp.add_nonneg_var("x1", 0.75);
-        let x2 = lp.add_nonneg_var("x2", -150.0);
-        let x3 = lp.add_nonneg_var("x3", 0.02);
-        let x4 = lp.add_nonneg_var("x4", -6.0);
-        lp.add_constraint(
-            "r1",
-            &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        lp.add_constraint(
-            "r2",
-            &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        lp.add_constraint("r3", &[(x3, 1.0)], Relation::Le, 1.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 0.05);
-        assert_close(sol.value(x1), 0.04);
-        assert_close(sol.value(x3), 1.0);
-    }
-
-    /// A degenerate vertex where three constraints meet: the optimum (1, 1)
-    /// satisfies all of them with equality, forcing zero-progress pivots.
-    #[test]
-    fn degenerate_vertex_is_handled() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("cx", &[(x, 1.0)], Relation::Le, 1.0);
-        lp.add_constraint("cy", &[(y, 1.0)], Relation::Le, 1.0);
-        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 2.0);
-        assert_close(sol.value(x), 1.0);
-        assert_close(sol.value(y), 1.0);
-    }
-
-    /// An all-zero objective is optimal at any feasible point; the solver
-    /// must still return one that satisfies the constraints.
-    #[test]
-    fn zero_objective_returns_a_feasible_point() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 0.0);
-        let y = lp.add_nonneg_var("y", 0.0);
-        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 0.0);
-        assert_close(sol.value(x) + sol.value(y), 4.0);
-        assert!(sol.value(x) >= -1e-9 && sol.value(y) >= -1e-9);
-    }
-
-    /// Duplicated equality rows are redundant, not infeasible.
-    #[test]
-    fn duplicate_equality_rows_are_harmless() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 2.0);
-        lp.add_constraint("e", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
-        lp.add_constraint("e_again", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.value(x), 3.0);
-    }
-
-    /// Contradictory equalities must surface as `Infeasible`, not as a
-    /// silently wrong answer.
-    #[test]
-    fn contradictory_equalities_are_infeasible() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("a", &[(x, 1.0), (y, 1.0)], Relation::Eq, 1.0);
-        lp.add_constraint("b", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
-        assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
-    }
-
-    /// A genuinely unbounded ray whose reduced cost sits inside the
-    /// noise-clamp window (−NOISE_RC_TOL, −DUAL_TOL]: the clamp only
-    /// neutralizes numerically-zero columns, so the decisive −1 entry here
-    /// must still surface as `Unbounded`, not "optimal at 0".
-    #[test]
-    fn tiny_objective_unbounded_ray_is_still_detected() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", -5.0e-7);
-        let s = lp.add_nonneg_var("s", 0.0);
-        lp.add_constraint("c", &[(s, 1.0), (x, -1.0)], Relation::Eq, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    /// A free variable pushed down by a minimization with no lower bound.
-    #[test]
-    fn free_variable_unbounded_below() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        lp.add_constraint("ub", &[(x, 1.0)], Relation::Le, 5.0);
-        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    /// The iteration limit aborts the solve with the configured limit echoed
-    /// back (two equality rows need at least two phase-one pivots).
-    #[test]
-    fn iteration_limit_is_reported() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("e1", &[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
-        lp.add_constraint("e2", &[(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
-        lp.set_iteration_limit(1);
-        assert!(matches!(
-            lp.solve(),
-            Err(LpError::IterationLimit { limit: 1 })
-        ));
-    }
-
-    /// NaN input is rejected up front by validation rather than corrupting
-    /// the tableau.
-    #[test]
-    fn nan_coefficients_are_rejected() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", f64::NAN);
-        lp.add_constraint("c", &[(x, 1.0)], Relation::Le, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::NotFinite { .. })));
-    }
 }

@@ -11,7 +11,7 @@ pub struct SolveStats {
     pub phase2_pivots: usize,
     /// Number of structural (user) variables after standard-form expansion.
     pub standard_vars: usize,
-    /// Number of rows of the tableau.
+    /// Number of standard-form constraint rows.
     pub rows: usize,
     /// Optimize→reprice→re-run rounds across both phases (each phase runs
     /// at least one).
@@ -22,13 +22,9 @@ pub struct SolveStats {
     /// Numerically-zero descent columns neutralized instead of being
     /// reported as unbounded rays.
     pub noise_clamps: usize,
-    /// Elimination residues snapped to an exact zero during pivoting.
-    pub snapped_entries: usize,
-    /// Basis refactorizations performed (revised backend only; the dense
-    /// backend reports zero).
+    /// Basis refactorizations performed.
     pub refactorizations: usize,
-    /// Singular basis columns replaced during factorization repair
-    /// (revised backend only).
+    /// Singular basis columns replaced during factorization repair.
     pub basis_repairs: usize,
     /// True when the solve re-entered from a warm basis and skipped
     /// phase one.

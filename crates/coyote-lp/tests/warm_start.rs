@@ -13,7 +13,7 @@
 //!   solve must reach the same optimal *objective* as a cold solve of the
 //!   edited problem, though possibly at a different optimal vertex.
 
-use coyote_lp::{LpProblem, PhaseOneCache, Relation, Sense, SolverBackend, VarId, WarmBasis};
+use coyote_lp::{LpProblem, PhaseOneCache, Relation, Sense, VarId, WarmBasis};
 
 fn assert_close(a: f64, b: f64) {
     assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -250,17 +250,4 @@ fn basis_restore_chain_tracks_cold_objectives() {
         assert_close(sol.objective, cold.objective);
         warm = Some(next);
     }
-}
-
-/// The dense backend accepts the `solve_warm` API (cold solve + empty
-/// basis), so callers can switch backends without special-casing.
-#[test]
-fn dense_backend_solves_warm_api_cold() {
-    let (mut lp, _) = transport_lp(1.0);
-    lp.set_backend(SolverBackend::Dense);
-    let (sol, basis) = lp.solve_warm(None).unwrap();
-    assert!(basis.is_empty());
-    assert!(!sol.stats.warm_restore);
-    let (again, _) = lp.solve_warm(Some(&basis)).unwrap();
-    assert_eq!(sol.objective.to_bits(), again.objective.to_bits());
 }

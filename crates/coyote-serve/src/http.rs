@@ -144,8 +144,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let (method, path, body) = match read_request(&mut stream) {
-        Ok(parts) => parts,
-        Err(_) => return false, // wake-up probe or malformed preamble
+        Ok(Some(parts)) => parts,
+        Ok(None) => return false, // wake-up probe: closed before sending a byte
+        Err(e) => {
+            if e.is_bad_request() {
+                let _ = write_response(&mut stream, 400, &error_json(&e));
+            }
+            return false;
+        }
     };
     coyote_obs::counter("serve.http.requests", 1);
     let stop = method == "POST" && path == "/shutdown";
@@ -154,13 +160,21 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> bool {
     stop
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), ServeError> {
+/// Reads one request as `(method, path, body)`. `Ok(None)` means the peer
+/// closed the connection before sending a byte; a request cut short after
+/// that is a bad request.
+fn read_request(stream: &mut TcpStream) -> Result<Option<(String, String, String)>, ServeError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let header_end = loop {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            return Err(ServeError::BadRequest("connection closed".into()));
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            return Err(ServeError::BadRequest(
+                "connection closed inside the request head".into(),
+            ));
         }
         buf.extend_from_slice(&chunk[..n]);
         if let Some(idx) = find_header_end(&buf) {
@@ -199,16 +213,19 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), Serv
     while body.len() < content_length {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            break;
+            return Err(ServeError::BadRequest(format!(
+                "connection closed after {} of {content_length} body bytes",
+                body.len()
+            )));
         }
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
-    Ok((
+    Ok(Some((
         method,
         path,
         String::from_utf8_lossy(&body).to_string(),
-    ))
+    )))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -253,37 +270,25 @@ fn dispatch(method: &str, path: &str, body: &str, shared: &Shared) -> (u16, Stri
         ("POST", "/recompile") => post_recompile(shared).and_then(|o| encode(&o)),
         ("POST", "/shutdown") => Ok("{\"ok\":true,\"stopping\":true}".to_string()),
         ("GET", _) | ("POST", _) => {
-            return (
-                404,
-                encode(&ErrorResponse {
-                    error: format!("no such endpoint: {path}"),
-                })
-                .unwrap_or_default(),
-            )
+            return (404, error_json(&format!("no such endpoint: {path}")))
         }
-        _ => {
-            return (
-                405,
-                encode(&ErrorResponse {
-                    error: format!("method {method} not allowed"),
-                })
-                .unwrap_or_default(),
-            )
-        }
+        _ => return (405, error_json(&format!("method {method} not allowed"))),
     };
     match result {
         Ok(body) => (200, body),
         Err(e) => {
             let status = if e.is_bad_request() { 400 } else { 500 };
-            (
-                status,
-                encode(&ErrorResponse {
-                    error: e.to_string(),
-                })
-                .unwrap_or_default(),
-            )
+            (status, error_json(&e))
         }
     }
+}
+
+/// The JSON body of an error reply.
+fn error_json(error: &dyn std::fmt::Display) -> String {
+    encode(&ErrorResponse {
+        error: error.to_string(),
+    })
+    .unwrap_or_default()
 }
 
 fn encode<T: serde::Serialize>(value: &T) -> Result<String, ServeError> {

@@ -8,8 +8,8 @@
 //! depend on a single crate:
 //!
 //! * [`graph`] — directed capacitated graphs, shortest paths, DAGs, max-flow.
-//! * [`lp`] — the dense two-phase simplex LP solver.
-//! * [`gp`] — geometric-programming / log-space convex optimization toolkit.
+//! * [`lp`] — the sparse revised-simplex LP solver.
+//! * [`gp`] — Adam minimizer and log-space kernels of the splitting optimizer.
 //! * [`traffic`] — demand matrices (gravity, bimodal) and uncertainty sets.
 //! * [`topology`] — backbone topologies (Topology Zoo reconstructions).
 //! * [`core`] — COYOTE itself: DAG construction, splitting optimization,
