@@ -631,6 +631,184 @@ mod tests {
         }
     }
 
+    fn sample_failure_report() -> FailureReport {
+        use crate::failures::{CellOutcome, FailureEvent, FailureRecord, FailureSimSummary};
+        let mode = |util: f64, drop: f64, unrouted: f64| ModeOutcome {
+            max_utilization: util,
+            sim: FailureSimSummary {
+                offered: 10.0,
+                delivered: 10.0 * (1.0 - drop),
+                drop_rate: drop,
+                unrouted,
+                max_utilization: util,
+            },
+            fake_nodes: 4,
+        };
+        let spec = SweepSpec {
+            topology: "Abilene".into(),
+            model: BaseModel::Gravity,
+            margin: 2.0,
+            heuristic: WeightHeuristic::InverseCapacity,
+            effort: Effort::Quick,
+        };
+        FailureReport {
+            threads: 2,
+            cells: 2,
+            tolerance: 0.05,
+            seed: 7,
+            wall_secs: 1.25,
+            records: vec![
+                FailureRecord {
+                    spec: spec.clone(),
+                    event: FailureEvent::LinkFailure { link: 3 },
+                    cell: "Abilene/gravity/reverse-capacities/m2.0+link-3".into(),
+                    outcome: CellOutcome::Within,
+                    oblivious: Some(mode(0.9, 0.0, 0.0)),
+                    reoptimized: Some(mode(0.75, 0.0, 0.0)),
+                    degradation_ratio: Some(1.2),
+                    fake_lsa_delta: 2,
+                    dead_demand_volume: 0.0,
+                    unroutable_volume: 0.0,
+                    wall_secs: 0.5,
+                },
+                FailureRecord {
+                    spec,
+                    event: FailureEvent::NodeFailure { node: 5 },
+                    cell: "Abilene/gravity/reverse-capacities/m2.0+node-5".into(),
+                    outcome: CellOutcome::Unroutable {
+                        reason: "partitioned".into(),
+                    },
+                    oblivious: Some(mode(1.3125, 0.125, 0.5)),
+                    reoptimized: None,
+                    degradation_ratio: None,
+                    fake_lsa_delta: 11,
+                    dead_demand_volume: 0.25,
+                    unroutable_volume: 0.5,
+                    wall_secs: 0.75,
+                },
+            ],
+        }
+    }
+
+    fn sample_ratios() -> Vec<ProtocolRatios> {
+        vec![
+            ProtocolRatios {
+                topology: "Abilene".into(),
+                margin: 1.5,
+                ecmp: 1.8125,
+                base: 1.25,
+                coyote_oblivious: 1.375,
+                coyote_partial: 1.0625,
+            },
+            ProtocolRatios {
+                topology: "Geant".into(),
+                margin: 3.0,
+                ecmp: f64::INFINITY,
+                base: 2.0,
+                coyote_oblivious: 1.5,
+                coyote_partial: 1.25,
+            },
+        ]
+    }
+
+    #[test]
+    fn sweep_renderings_are_pinned() {
+        assert_eq!(
+            sweep_text(&sample_report()),
+            concat!(
+                "network    model  margin  ECMP  Base  COYOTE obl.  COYOTE par.know.   wall\n",
+                "--------------------------------------------------------------------------\n",
+                "Abilene  gravity     2.0  1.50  1.25         1.40              1.20  2.50s\n",
+                "1 scenarios on 2 thread(s): 1.50s wall, 2.50s cpu (1.67x speedup)\n",
+            )
+        );
+        assert_eq!(
+            sweep_csv(&sample_report()),
+            concat!(
+                "topology,model,heuristic,margin,effort,ecmp,base,coyote_oblivious,coyote_partial,wall_secs\n",
+                "Abilene,gravity,reverse-capacities,2,Quick,1.5,1.25,1.4,1.2,2.500000\n",
+            )
+        );
+    }
+
+    #[test]
+    fn ratios_renderings_are_pinned() {
+        assert_eq!(
+            ratios_csv(&sample_ratios()),
+            concat!(
+                "topology,margin,ecmp,base,coyote_oblivious,coyote_partial\n",
+                "Abilene,1.5,1.8125,1.25,1.375,1.0625\n",
+                "Geant,3,inf,2,1.5,1.25\n",
+            )
+        );
+    }
+
+    #[test]
+    fn conformance_renderings_are_pinned() {
+        assert_eq!(
+            conformance_text(&sample_conformance_report(true)),
+            concat!(
+                "network    model  margin  faithful  fakes  split err   util Δ   drop Δ  verdict   wall\n",
+                "--------------------------------------------------------------------------------------\n",
+                "Abilene  bimodal     2.0       yes      7     0.0100   0.0100   0.0100     pass  2.00s\n",
+                "1/1 cells within tolerance 0.05 (compression off, 7 fake nodes) on 2 thread(s): 1.00s wall, 2.00s cpu\n",
+            )
+        );
+        assert_eq!(
+            conformance_csv(&sample_conformance_report(true)),
+            concat!(
+                "topology,model,heuristic,margin,effort,faithful,dags_match,max_split_error,fake_nodes,prefix_advertisements,compression,max_fake_nodes_per_destination,base_intended_util,base_realized_util,worst_intended_util,worst_realized_util,base_intended_drop,base_realized_drop,worst_intended_drop,worst_realized_drop,max_utilization_delta,drop_rate_delta,within_tolerance,wall_secs\n",
+                "Abilene,bimodal,reverse-capacities,2,Quick,true,true,0.01,7,7,off,3,0.8,0.81,1,1,0,0,0.1,0.11,0.01,0.01,true,2.000000\n",
+            )
+        );
+    }
+
+    #[test]
+    fn pareto_renderings_are_pinned() {
+        assert_eq!(
+            pareto_text(&sample_pareto_report()),
+            concat!(
+                "      level  fakes  adverts  ratio  split err   util Δ  pass\n",
+                "------------------------------------------------------------\n",
+                "        off    100      102  1.000     0.0010   0.0005   1/1\n",
+                "   lossless     60       62  0.600     0.0010   0.0005   1/1\n",
+                "lossy(0.02)      8       10  0.080     0.0180   0.0090   1/1\n",
+                "3 levels x 1 cells, tolerance 0.05, on 2 thread(s): 3.00s wall\n",
+            )
+        );
+        assert_eq!(
+            pareto_csv(&sample_pareto_report()),
+            concat!(
+                "level,epsilon,fake_nodes,prefix_advertisements,fake_node_ratio,max_split_error,max_utilization_delta,cells_within_tolerance\n",
+                "off,0,100,102,1,0.001,0.0005,1\n",
+                "lossless,0,60,62,0.6,0.001,0.0005,1\n",
+                "lossy(0.02),0.02,8,10,0.08,0.018,0.009,1\n",
+            )
+        );
+    }
+
+    #[test]
+    fn failures_renderings_are_pinned() {
+        assert_eq!(
+            failures_text(&sample_failure_report()),
+            concat!(
+                "network    model   event  obl util  obl drop  reopt util   degr   ΔLSA  lost vol     verdict   wall\n",
+                "---------------------------------------------------------------------------------------------------\n",
+                "Abilene  gravity  link-3     0.900    0.0000       0.750  1.200      2     0.000      within  0.50s\n",
+                "Abilene  gravity  node-5     1.312    0.1250           -      -     11     0.750  unroutable  0.75s\n",
+                "1 within / 0 degraded / 1 unroutable of 2 cells, tolerance 0.05, worst degradation 1.200, 0.750 demand units lost, on 2 thread(s): 1.25s wall, 1.25s cpu\n",
+            )
+        );
+        assert_eq!(
+            failures_csv(&sample_failure_report()),
+            concat!(
+                "cell,topology,model,margin,event,verdict,oblivious_util,oblivious_drop,oblivious_unrouted,reoptimized_util,reoptimized_drop,degradation_ratio,fake_lsa_delta,dead_demand_volume,unroutable_volume,wall_secs\n",
+                "Abilene/gravity/reverse-capacities/m2.0+link-3,Abilene,gravity,2,link-3,within,0.900000,0.000000,0.000000,0.750000,0.000000,1.200000,2,0.000000,0.000000,0.500000\n",
+                "Abilene/gravity/reverse-capacities/m2.0+node-5,Abilene,gravity,2,node-5,unroutable,1.312500,0.125000,0.500000,,,,11,0.250000,0.500000,0.750000\n",
+            )
+        );
+    }
+
     #[test]
     fn conformance_csv_has_header_and_one_row_per_record() {
         let csv = conformance_csv(&sample_conformance_report(true));
@@ -647,8 +825,9 @@ mod tests {
         let pass = conformance_text(&sample_conformance_report(true));
         assert!(pass.contains("Abilene"));
         assert!(pass.contains("pass"));
-        assert!(pass
-            .contains("1/1 cells within tolerance 0.05 (compression off, 7 fake nodes) on 2 thread(s)"));
+        assert!(pass.contains(
+            "1/1 cells within tolerance 0.05 (compression off, 7 fake nodes) on 2 thread(s)"
+        ));
         let fail = conformance_text(&sample_conformance_report(false));
         assert!(fail.contains("FAIL"));
         assert!(fail.contains("0/1 cells"));
