@@ -1,90 +1,11 @@
 //! The `experiments` binary: regenerates every table and figure of the
-//! paper from the command line, and runs parallel sweeps over the full
-//! scenario grid.
+//! paper from the command line, runs parallel sweeps, conformance and
+//! failure grids over the full scenario grid, and serves the incremental TE
+//! daemon.
 //!
-//! ```text
-//! experiments <command> [--full] [--threads N] [--format json|csv|text]
-//!             [--out PATH] [--filter SUBSTR] [--limit N] [--tolerance T]
-//!             [--profile] [--trace-out PATH] [--metrics-out PATH]
-//!
-//! Commands:
-//!   fig1        Running example (Fig. 1, Appendix B)
-//!   gadget      Theorem 1 BIPARTITION gadget
-//!   lowerbound  Theorem 4 Ω(|V|) instance
-//!   fig6        Geant, gravity model, ratio vs margin
-//!   fig7        Digex, gravity model
-//!   fig8        AS1755, bimodal model
-//!   fig9        Abilene, bimodal model, local-search weights
-//!   fig10       Splitting-ratio approximation with 3/5/10 virtual next hops
-//!   fig11       Average path stretch across topologies
-//!   fig12       Prototype packet-drop experiment
-//!   table1      Full ratio table (topologies × margins)
-//!   sweep       Full scenario grid (topologies × models × margins), with
-//!               per-scenario wall-clock timings in the report
-//!   conform     Full-stack conformance: every Table-I-eligible topology ×
-//!               both demand models through compile → realized Fibbing
-//!               routing → flow-level simulation, with intended-vs-realized
-//!               deltas and a per-cell tolerance verdict
-//!   failures    Failure-scenario engine: the conformance grid crossed with
-//!               fault events (single-link, single-node, SRLG groups, demand
-//!               spikes); per cell, the pre-failure Fibbing program is kept
-//!               and SPF-reconverged over the pruned LSDB (oblivious mode)
-//!               and compared against a recompiled program (re-optimized
-//!               mode), with a structured within/degraded/unroutable verdict
-//!   serve       Long-running incremental TE daemon: loads a topology and
-//!               demand model, compiles the Fibbing program once, then
-//!               serves telemetry and accepts demand/link/node updates over
-//!               HTTP/JSON, re-optimizing incrementally (dirty destinations
-//!               only) and advancing its LSDB through per-prefix LSA deltas
-//!   all         Everything above except sweep, conform, failures and serve
-//!
-//! Flags:
-//!   --full        Paper-scale sweeps (default: quick configuration)
-//!   --threads N   Worker threads for multi-scenario commands
-//!                 (0 = one per core, the default; 1 = serial)
-//!   --format F    Output format: text (default), json, or csv
-//!   --json        Shorthand for --format json
-//!   --out PATH    Write the report to PATH instead of stdout
-//!   --filter S    sweep/conform/failures: keep scenarios whose id contains
-//!                 S (case-insensitive; ids look like Abilene/gravity/
-//!                 reverse-capacities/m2.0, failure cells append +link-3)
-//!   --limit N     sweep/conform/failures: evaluate at most the first N
-//!                 scenarios
-//!   --tolerance T conform/failures: per-cell verdict threshold (conform:
-//!                 split error and intended-vs-realized deltas; failures:
-//!                 oblivious drop rate and degradation-ratio excess;
-//!                 default 0.05)
-//!   --compress    conform only: compile every cell's Fibbing program
-//!                 through the lossy compression pipeline (cross-destination
-//!                 fake merging + ratio quantization + no-op elimination)
-//!   --compress-epsilon E  conform only: quantization tolerance of the
-//!                 lossy pass (implies --compress; default 0.02)
-//!   --pareto      conform only: sweep the grid once per compression level
-//!                 (off, lossless, and a ladder of epsilons) and emit the
-//!                 fake-nodes-vs-split-error Pareto table instead of the
-//!                 per-cell report
-//!   --events E    failures only: which event classes to inject —
-//!                 link|node|srlg|spike|all (default all)
-//!   --profile     sweep/conform/failures: record spans and workload
-//!                 counters via coyote-obs and append a per-stage time table
-//!                 plus the deterministic counters to the text report footer
-//!   --trace-out PATH    sweep/conform/failures: write a chrome://tracing /
-//!                 Perfetto-compatible JSON trace (implies --profile)
-//!   --metrics-out PATH  sweep/conform/failures: write the counters/gauges/
-//!                 histograms/timings snapshot as JSON (implies --profile)
-//!   --port N      serve only: TCP port to listen on (default 7300)
-//!   --topology T  serve only: topology-zoo name (default abilene)
-//!   --model M     serve only: initial demand model, gravity|bimodal
-//!                 (default gravity)
-//!   --budget N    serve only: wECMP FIB-entry budget per prefix (default 5)
-//!   --no-comparator  serve only: skip the batch-pipeline comparator
-//!                 measurement at startup (faster start; /state then reports
-//!                 no batch_recompile_micros)
-//!
-//! Every flag may be given at most once; repeated flags (e.g.
-//! `--threads 1 --threads 4`) are rejected with an error rather than
-//! silently letting the last occurrence win. `--json` counts as `--format`.
-//! ```
+//! `experiments help` prints the commands and flags, generated from the
+//! `COMMANDS` and `FLAGS` tables. Every flag may be given at most once,
+//! and only to a command that reads it.
 //!
 //! Multi-scenario commands (fig6–fig9, fig11, table1, sweep, conform,
 //! failures) fan their independent scenario evaluations out across a worker
@@ -93,9 +14,9 @@
 
 use coyote_bench::conformance::{default_pareto_levels, run_pareto, DEFAULT_TOLERANCE};
 use coyote_bench::report::{
-    conformance_csv, conformance_text, failures_csv, failures_text, format_series, format_table,
-    pareto_csv, pareto_text, percent, profile_text, ratio, ratios_csv, sweep_csv, sweep_text,
-    ReportFormat, Series,
+    conformance_footer, csv_table, failures_footer, format_series, format_table, pareto_columns,
+    pareto_footer, pareto_rows, percent, profile_text, ratio, sweep_footer, text_table, Column,
+    ReportFormat, Series, CONFORMANCE_COLUMNS, FAILURE_COLUMNS, RATIO_COLUMNS, SWEEP_COLUMNS,
 };
 use coyote_bench::{
     fig10_approximation, fig11_stretch, fig11_topologies, fig12_prototype, fig1_running_example,
@@ -104,11 +25,164 @@ use coyote_bench::{
     EventClass, FailureGrid, ProtocolRatios, SweepGrid, WeightHeuristic,
 };
 use coyote_ospf::{CompressionLevel, DEFAULT_EPSILON};
+use std::collections::BTreeMap;
+use std::str::FromStr;
+
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
+/// One subcommand: its name, one line of help, whether `all` runs it, and
+/// its driver.
+struct Command {
+    name: &'static str,
+    help: &'static str,
+    figure: bool,
+    run: fn(&Cli) -> Outcome,
+}
+
+/// Every subcommand, in usage order. The `figure` ones are the paper's
+/// tables and figures, which `all` runs in this order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "fig1", help: "running example (Fig. 1, Appendix B)", figure: true, run: cmd_fig1 },
+    Command { name: "gadget", help: "Theorem 1 BIPARTITION gadget", figure: true, run: cmd_gadget },
+    Command { name: "lowerbound", help: "Theorem 4 Ω(|V|) instance", figure: true, run: cmd_lowerbound },
+    Command { name: "fig6", help: "Geant, gravity model, ratio vs margin", figure: true,
+              run: |cli| cmd_margin_figure(cli, "fig6", "Geant", BaseModel::Gravity) },
+    Command { name: "fig7", help: "Digex, gravity model, ratio vs margin", figure: true,
+              run: |cli| cmd_margin_figure(cli, "fig7", "Digex", BaseModel::Gravity) },
+    Command { name: "fig8", help: "AS1755, bimodal model, ratio vs margin", figure: true,
+              run: |cli| cmd_margin_figure(cli, "fig8", "AS1755", BaseModel::Bimodal) },
+    Command { name: "fig9", help: "Abilene, bimodal model, local-search weights", figure: true,
+              run: cmd_fig9 },
+    Command { name: "fig10", help: "splitting-ratio approximation with 3/5/10 virtual next hops",
+              figure: true, run: cmd_fig10 },
+    Command { name: "fig11", help: "average path stretch across topologies", figure: true,
+              run: cmd_fig11 },
+    Command { name: "fig12", help: "prototype packet-drop experiment", figure: true, run: cmd_fig12 },
+    Command { name: "table1", help: "full ratio table (topologies × margins)", figure: true,
+              run: cmd_table1 },
+    Command { name: "sweep", help: "full scenario grid (topologies × models × margins), timed per cell",
+              figure: false, run: cmd_sweep },
+    Command { name: "conform", help: "full-stack conformance: compile → Fibbing routing → flow simulation",
+              figure: false, run: cmd_conform },
+    Command { name: "failures", help: "conformance grid × fault events: reconvergence vs re-optimization",
+              figure: false, run: cmd_failures },
+    Command { name: "serve", help: "incremental TE daemon taking demand/link/node updates over HTTP",
+              figure: false, run: cmd_serve },
+    Command { name: "all", help: "every figure command above, in order", figure: false, run: cmd_all },
+    Command { name: "help", help: "print this text", figure: false, run: cmd_help },
+];
+
+/// One flag: its name, the placeholder of its value (`None` for a switch),
+/// the commands that read it (`figures` stands for every figure command)
+/// and one line of help.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    readers: &'static str,
+    help: &'static str,
+}
+
+const GRIDS: &str = "sweep conform failures";
+
+/// Every flag, in usage order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "full", value: None,
+           readers: "fig6 fig7 fig8 fig9 fig10 fig11 table1 sweep conform failures all",
+           help: "paper-scale configuration (default: quick)" },
+    Flag { name: "threads", value: Some("N"),
+           readers: "fig6 fig7 fig8 fig9 fig11 table1 sweep conform failures serve all",
+           help: "worker threads: 0 = one per core (default), 1 = serial" },
+    Flag { name: "format", value: Some("F"), readers: "figures sweep conform failures all",
+           help: "text (default), json, or csv (fig6-fig9, table1 and the grids)" },
+    Flag { name: "json", value: None, readers: "figures sweep conform failures all",
+           help: "shorthand for --format json" },
+    Flag { name: "out", value: Some("PATH"), readers: "figures sweep conform failures",
+           help: "write the report to PATH instead of stdout" },
+    Flag { name: "filter", value: Some("S"), readers: GRIDS,
+           help: "keep cells whose id contains S, e.g. Abilene, bimodal, /m2.0, +link-3" },
+    Flag { name: "limit", value: Some("N"), readers: GRIDS,
+           help: "evaluate at most the first N cells" },
+    Flag { name: "tolerance", value: Some("T"), readers: "conform failures",
+           help: "per-cell verdict threshold (default 0.05)" },
+    Flag { name: "compress", value: None, readers: "conform",
+           help: "compile every cell through the lossy compression pass" },
+    Flag { name: "compress-epsilon", value: Some("E"), readers: "conform",
+           help: "lossy quantization tolerance (implies --compress; default 0.02)" },
+    Flag { name: "pareto", value: None, readers: "conform",
+           help: "sweep every compression level: fake nodes vs split error" },
+    Flag { name: "events", value: Some("E"), readers: "failures",
+           help: "fault classes: link|node|srlg|spike|all (default all)" },
+    Flag { name: "profile", value: None, readers: GRIDS,
+           help: "append per-stage wall times and workload counters to the text" },
+    Flag { name: "trace-out", value: Some("PATH"), readers: GRIDS,
+           help: "write a chrome://tracing trace (implies --profile)" },
+    Flag { name: "metrics-out", value: Some("PATH"), readers: GRIDS,
+           help: "write the metrics snapshot as JSON (implies --profile)" },
+    Flag { name: "port", value: Some("N"), readers: "serve",
+           help: "TCP port to listen on (default 7300)" },
+    Flag { name: "topology", value: Some("T"), readers: "serve",
+           help: "topology-zoo name (default abilene)" },
+    Flag { name: "model", value: Some("M"), readers: "serve",
+           help: "initial demand model: gravity (default) or bimodal" },
+    Flag { name: "budget", value: Some("N"), readers: "serve",
+           help: "wECMP FIB-entry budget per prefix (default 5)" },
+    Flag { name: "no-comparator", value: None, readers: "serve",
+           help: "skip timing the batch-pipeline comparator at startup" },
+];
+
+impl Flag {
+    /// The name the flag is stored under: `--json` shares `--format`'s.
+    fn slot(&self) -> &'static str {
+        if self.name == "json" {
+            "format"
+        } else {
+            self.name
+        }
+    }
+
+    fn is_read_by(&self, command: &str) -> bool {
+        let figure = COMMANDS.iter().any(|c| c.figure && c.name == command);
+        self.readers
+            .split(' ')
+            .any(|r| r == command || (r == "figures" && figure))
+    }
+}
+
+/// The usage text, generated from `COMMANDS` and `FLAGS`.
+fn usage() -> String {
+    let mut out = String::from("usage: experiments <command> [flags]\n\ncommands:\n");
+    for c in COMMANDS {
+        out.push_str(&format!("  {:<12}{}\n", c.name, c.help));
+    }
+    let figures: Vec<&str> = COMMANDS
+        .iter()
+        .filter(|c| c.figure)
+        .map(|c| c.name)
+        .collect();
+    out.push_str(&format!(
+        "\nflags (each at most once, and only to a command that reads it;\n\
+         \"figures\" stands for {}):\n",
+        figures.join(" ")
+    ));
+    for f in FLAGS {
+        let flag = match f.value {
+            Some(v) => format!("--{} {v}", f.name),
+            None => format!("--{}", f.name),
+        };
+        out.push_str(&format!(
+            "  {flag:<22}{}\n  {:<22}read by: {}\n",
+            f.help, "", f.readers
+        ));
+    }
+    out
+}
 
 /// Parsed command line.
 #[derive(Debug)]
 struct Cli {
-    command: String,
+    command: &'static str,
     effort: Effort,
     threads: usize,
     format: ReportFormat,
@@ -130,192 +204,113 @@ struct Cli {
     no_comparator: bool,
 }
 
+/// The parsed value of flag `slot`, if it was given.
+fn value<T: FromStr>(given: &BTreeMap<&str, String>, slot: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    given
+        .get(slot)
+        .map(|v| v.parse().map_err(|e| format!("--{slot}: {e}")))
+        .transpose()
+}
+
+/// A non-negative (and not NaN) number.
+fn non_negative(v: Option<f64>, slot: &str) -> Result<Option<f64>, String> {
+    match v {
+        Some(x) if x.is_nan() || x < 0.0 => {
+            Err(format!("--{slot} must be a non-negative number, got {x}"))
+        }
+        v => Ok(v),
+    }
+}
+
 impl Cli {
     fn parse(args: &[String]) -> Result<Self, String> {
-        let mut cli = Cli {
-            command: String::new(),
-            effort: Effort::Quick,
-            threads: 0,
-            format: ReportFormat::Text,
-            out: None,
-            filter: None,
-            limit: None,
-            tolerance: DEFAULT_TOLERANCE,
-            compress: false,
-            compress_epsilon: None,
-            pareto: false,
-            events: EventClass::All,
-            profile: false,
-            trace_out: None,
-            metrics_out: None,
-            port: 7300,
-            topology: "abilene".to_string(),
-            model: "gravity".to_string(),
-            budget: 5,
-            no_comparator: false,
-        };
+        let mut command = None;
+        let mut given: BTreeMap<&str, String> = BTreeMap::new();
+        let mut flags: Vec<&Flag> = Vec::new();
         let mut it = args.iter().peekable();
-        // Every flag may appear at most once; `--json` is shorthand for
-        // `--format json`, so the two share a key.
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut once = |key: &'static str| -> Result<(), String> {
-            if seen.contains(&key) {
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                if command.is_some() {
+                    return Err(format!("unexpected argument {arg}"));
+                }
+                command = Some(arg.as_str());
+                continue;
+            };
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            let value = match flag.value {
+                None if flag.name == "json" => "json".to_string(),
+                None => String::new(),
+                // A flag never takes the next flag as its value
+                // (`--filter --threads 2` is an error, not a filter).
+                Some(_) => it
+                    .next_if(|v| !v.starts_with("--"))
+                    .cloned()
+                    .ok_or_else(|| format!("{arg} needs a value"))?,
+            };
+            if given.insert(flag.slot(), value).is_some() {
                 return Err(format!(
-                    "flag --{key} given more than once (repeated flags are rejected \
-                     rather than letting the last occurrence win)"
+                    "flag --{} given more than once (repeated flags are rejected \
+                     rather than letting the last occurrence win)",
+                    flag.slot()
                 ));
             }
-            seen.push(key);
-            Ok(())
+            flags.push(flag);
+        }
+        let model = given.get("model").cloned().unwrap_or("gravity".into());
+        if model != "gravity" && model != "bimodal" {
+            return Err(format!("--model must be gravity or bimodal, got {model:?}"));
+        }
+        let compress_epsilon =
+            non_negative(value(&given, "compress-epsilon")?, "compress-epsilon")?;
+        let cli = Cli {
+            command: "help",
+            effort: given.get("full").map_or(Effort::Quick, |_| Effort::Full),
+            threads: value(&given, "threads")?.unwrap_or(0),
+            format: value(&given, "format")?.unwrap_or_default(),
+            out: given.get("out").cloned(),
+            filter: given.get("filter").cloned(),
+            limit: value(&given, "limit")?,
+            tolerance: non_negative(value(&given, "tolerance")?, "tolerance")?
+                .unwrap_or(DEFAULT_TOLERANCE),
+            compress: given.contains_key("compress") || compress_epsilon.is_some(),
+            compress_epsilon,
+            pareto: given.contains_key("pareto"),
+            events: value(&given, "events")?.unwrap_or(EventClass::All),
+            profile: given.contains_key("profile"),
+            trace_out: given.get("trace-out").cloned(),
+            metrics_out: given.get("metrics-out").cloned(),
+            port: value(&given, "port")?.unwrap_or(7300),
+            topology: given.get("topology").cloned().unwrap_or("abilene".into()),
+            model,
+            budget: value(&given, "budget")?.unwrap_or(5),
+            no_comparator: given.contains_key("no-comparator"),
         };
-        fn value(
-            it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-            flag: &str,
-        ) -> Result<String, String> {
-            // Refuse to swallow the next flag as this flag's value
-            // (`--filter --threads 2` should error, not filter on "--threads").
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => Ok(it.next().cloned().unwrap()),
-                _ => Err(format!("{flag} needs a value")),
-            }
+        if cli.budget == 0 {
+            return Err("--budget must be at least 1".to_string());
         }
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--full" => {
-                    once("full")?;
-                    cli.effort = Effort::Full;
-                }
-                "--json" => {
-                    once("format")?;
-                    cli.format = ReportFormat::Json;
-                }
-                "--threads" => {
-                    once("threads")?;
-                    cli.threads = value(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--format" => {
-                    once("format")?;
-                    cli.format = value(&mut it, "--format")?.parse()?;
-                }
-                "--out" => {
-                    once("out")?;
-                    cli.out = Some(value(&mut it, "--out")?);
-                }
-                "--filter" => {
-                    once("filter")?;
-                    cli.filter = Some(value(&mut it, "--filter")?);
-                }
-                "--limit" => {
-                    once("limit")?;
-                    cli.limit = Some(
-                        value(&mut it, "--limit")?
-                            .parse()
-                            .map_err(|e| format!("--limit: {e}"))?,
-                    );
-                }
-                "--tolerance" => {
-                    once("tolerance")?;
-                    cli.tolerance = value(&mut it, "--tolerance")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance: {e}"))?;
-                    if cli.tolerance.is_nan() || cli.tolerance < 0.0 {
-                        return Err(format!(
-                            "--tolerance must be a non-negative number, got {}",
-                            cli.tolerance
-                        ));
-                    }
-                }
-                "--compress" => {
-                    once("compress")?;
-                    cli.compress = true;
-                }
-                "--compress-epsilon" => {
-                    once("compress-epsilon")?;
-                    let eps: f64 = value(&mut it, "--compress-epsilon")?
-                        .parse()
-                        .map_err(|e| format!("--compress-epsilon: {e}"))?;
-                    if eps.is_nan() || eps < 0.0 {
-                        return Err(format!(
-                            "--compress-epsilon must be a non-negative number, got {eps}"
-                        ));
-                    }
-                    cli.compress = true;
-                    cli.compress_epsilon = Some(eps);
-                }
-                "--pareto" => {
-                    once("pareto")?;
-                    cli.pareto = true;
-                }
-                "--events" => {
-                    once("events")?;
-                    cli.events = value(&mut it, "--events")?.parse()?;
-                }
-                "--profile" => {
-                    once("profile")?;
-                    cli.profile = true;
-                }
-                "--trace-out" => {
-                    once("trace-out")?;
-                    cli.trace_out = Some(value(&mut it, "--trace-out")?);
-                }
-                "--metrics-out" => {
-                    once("metrics-out")?;
-                    cli.metrics_out = Some(value(&mut it, "--metrics-out")?);
-                }
-                "--port" => {
-                    once("port")?;
-                    cli.port = value(&mut it, "--port")?
-                        .parse()
-                        .map_err(|e| format!("--port: {e}"))?;
-                }
-                "--topology" => {
-                    once("topology")?;
-                    cli.topology = value(&mut it, "--topology")?;
-                }
-                "--model" => {
-                    once("model")?;
-                    cli.model = value(&mut it, "--model")?;
-                    if cli.model != "gravity" && cli.model != "bimodal" {
-                        return Err(format!(
-                            "--model must be gravity or bimodal, got {:?}",
-                            cli.model
-                        ));
-                    }
-                }
-                "--budget" => {
-                    once("budget")?;
-                    cli.budget = value(&mut it, "--budget")?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?;
-                    if cli.budget == 0 {
-                        return Err("--budget must be at least 1".to_string());
-                    }
-                }
-                "--no-comparator" => {
-                    once("no-comparator")?;
-                    cli.no_comparator = true;
-                }
-                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-                command if cli.command.is_empty() => cli.command = command.to_string(),
-                extra => return Err(format!("unexpected argument {extra}")),
-            }
+        let command = match command.map(|name| (name, find_command(name))) {
+            None => "help",
+            Some((_, Some(c))) => c.name,
+            Some((name, None)) => return Err(format!("unknown command {name:?}")),
+        };
+        if let Some(flag) = flags.iter().find(|f| !f.is_read_by(command)) {
+            return Err(format!(
+                "--{} does not apply to {command} (read by: {})",
+                flag.name, flag.readers
+            ));
         }
-        if cli.command.is_empty() {
-            cli.command = "help".to_string();
-        }
-        Ok(cli)
+        Ok(Cli { command, ..cli })
     }
 
     /// Emits one report in the requested format, to stdout or `--out`.
     /// `csv` is `None` for commands whose result has no tabular CSV shape.
-    fn emit(
-        &self,
-        text: String,
-        json: String,
-        csv: Option<String>,
-    ) -> Result<(), Box<dyn std::error::Error>> {
+    fn emit(&self, text: String, json: String, csv: Option<String>) -> Outcome {
         let rendered = match self.format {
             ReportFormat::Text => text,
             ReportFormat::Json => json,
@@ -328,55 +323,72 @@ impl Cli {
                 std::fs::write(path, rendered)?;
                 println!("wrote {path}");
             }
-            None => print!(
-                "{}{}",
-                rendered,
-                if rendered.ends_with('\n') { "" } else { "\n" }
-            ),
+            None if rendered.ends_with('\n') => print!("{rendered}"),
+            None => println!("{rendered}"),
         }
         Ok(())
     }
-}
 
-/// Scoped observability session for the sweep/conform drivers: installs a
-/// fresh [`coyote_obs::Registry`] as the global sink when any of
-/// `--profile`, `--trace-out` or `--metrics-out` is given, and on
-/// [`finish`](Profiler::finish) writes the requested artifacts and renders
-/// the per-stage footer for the text report.
-struct Profiler {
-    registry: Option<std::sync::Arc<coyote_obs::Registry>>,
-}
-
-impl Profiler {
-    fn start(cli: &Cli) -> Self {
-        let active = cli.profile || cli.trace_out.is_some() || cli.metrics_out.is_some();
-        let registry = active.then(|| {
-            let r = std::sync::Arc::new(coyote_obs::Registry::new());
-            coyote_obs::install(r.clone());
-            r
-        });
-        Self { registry }
+    /// Emits a tabular report: in text, `title`, the table of `rows` and
+    /// `footer`; in CSV, the same columns; in JSON, `report`.
+    fn emit_table<R>(
+        &self,
+        title: &str,
+        columns: &[Column<R>],
+        rows: &[R],
+        footer: &str,
+        report: &impl serde::Serialize,
+    ) -> Outcome {
+        self.emit(
+            format!("{title}\n{}{footer}", text_table(columns, rows)),
+            serde_json::to_string_pretty(report)?,
+            Some(csv_table(columns, rows)),
+        )
     }
 
-    /// Uninstalls the sink, writes `--trace-out` / `--metrics-out` and
-    /// returns the footer to append to the text report (empty when
-    /// profiling is off).
-    fn finish(self, cli: &Cli) -> Result<String, Box<dyn std::error::Error>> {
-        let Some(registry) = self.registry else {
-            return Ok(String::new());
-        };
-        coyote_obs::uninstall();
-        let snapshot = registry.snapshot();
-        if let Some(path) = &cli.trace_out {
-            std::fs::write(path, coyote_obs::chrome_trace_json(&registry))?;
-            eprintln!("wrote chrome trace to {path} (load in chrome://tracing or Perfetto)");
+    /// The worker-thread count as the progress lines show it.
+    fn threads_label(&self) -> String {
+        match self.threads {
+            0 => "auto".to_string(),
+            n => n.to_string(),
         }
-        if let Some(path) = &cli.metrics_out {
-            std::fs::write(path, coyote_obs::metrics_json(&snapshot))?;
-            eprintln!("wrote metrics snapshot to {path}");
-        }
-        Ok(profile_text(&snapshot))
     }
+}
+
+fn find_command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// Runs a grid command's `run` with a fresh [`coyote_obs::Registry`]
+/// installed as the global sink when any of `--profile`, `--trace-out` or
+/// `--metrics-out` is given. Writes the requested artifacts and returns the
+/// result with the per-stage footer for the text report (empty when
+/// profiling is off).
+fn profiled<T, E>(
+    cli: &Cli,
+    run: impl FnOnce() -> Result<T, E>,
+) -> Result<(T, String), Box<dyn std::error::Error>>
+where
+    Box<dyn std::error::Error>: From<E>,
+{
+    if !cli.profile && cli.trace_out.is_none() && cli.metrics_out.is_none() {
+        return Ok((run()?, String::new()));
+    }
+    let registry = std::sync::Arc::new(coyote_obs::Registry::new());
+    coyote_obs::install(registry.clone());
+    let result = run();
+    coyote_obs::uninstall();
+    let result = result?;
+    let snapshot = registry.snapshot();
+    if let Some(path) = &cli.trace_out {
+        std::fs::write(path, coyote_obs::chrome_trace_json(&registry))?;
+        eprintln!("wrote chrome trace to {path} (load in chrome://tracing or Perfetto)");
+    }
+    if let Some(path) = &cli.metrics_out {
+        std::fs::write(path, coyote_obs::metrics_json(&snapshot))?;
+        eprintln!("wrote metrics snapshot to {path}");
+    }
+    Ok((result, profile_text(&snapshot)))
 }
 
 fn main() {
@@ -384,108 +396,36 @@ fn main() {
     let cli = match Cli::parse(&args) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n\n{}", usage());
             std::process::exit(2);
         }
     };
-    if let Err(e) = run(&cli) {
+    let command = find_command(cli.command).expect("parse accepts only known commands");
+    if let Err(e) = (command.run)(&cli) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
-fn run(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    match cli.command.as_str() {
-        "fig1" => cmd_fig1(cli)?,
-        "gadget" => cmd_gadget(cli)?,
-        "lowerbound" => cmd_lowerbound(cli)?,
-        "fig6" => cmd_margin_figure(
-            cli,
-            "fig6",
-            "Geant",
-            BaseModel::Gravity,
-            WeightHeuristic::InverseCapacity,
-        )?,
-        "fig7" => cmd_margin_figure(
-            cli,
-            "fig7",
-            "Digex",
-            BaseModel::Gravity,
-            WeightHeuristic::InverseCapacity,
-        )?,
-        "fig8" => cmd_margin_figure(
-            cli,
-            "fig8",
-            "AS1755",
-            BaseModel::Bimodal,
-            WeightHeuristic::InverseCapacity,
-        )?,
-        "fig9" => cmd_fig9(cli)?,
-        "fig10" => cmd_fig10(cli)?,
-        "fig11" => cmd_fig11(cli)?,
-        "fig12" => cmd_fig12(cli)?,
-        "table1" => cmd_table1(cli)?,
-        "sweep" => cmd_sweep(cli)?,
-        "conform" => cmd_conform(cli)?,
-        "failures" => cmd_failures(cli)?,
-        "serve" => cmd_serve(cli)?,
-        "all" => {
-            // `all` prints a stream of reports; a single --out file would be
-            // overwritten by each sub-command and CSV has no shared schema.
-            if cli.out.is_some() {
-                return Err("--out is not supported with all (each sub-report would \
-                            overwrite the file); run commands individually"
-                    .into());
-            }
-            if cli.format == ReportFormat::Csv {
-                return Err("--format csv is not supported with all (the sub-reports \
-                            have different schemas); run commands individually"
-                    .into());
-            }
-            cmd_fig1(cli)?;
-            cmd_gadget(cli)?;
-            cmd_lowerbound(cli)?;
-            cmd_margin_figure(
-                cli,
-                "fig6",
-                "Geant",
-                BaseModel::Gravity,
-                WeightHeuristic::InverseCapacity,
-            )?;
-            cmd_margin_figure(
-                cli,
-                "fig7",
-                "Digex",
-                BaseModel::Gravity,
-                WeightHeuristic::InverseCapacity,
-            )?;
-            cmd_margin_figure(
-                cli,
-                "fig8",
-                "AS1755",
-                BaseModel::Bimodal,
-                WeightHeuristic::InverseCapacity,
-            )?;
-            cmd_fig9(cli)?;
-            cmd_fig10(cli)?;
-            cmd_fig11(cli)?;
-            cmd_fig12(cli)?;
-            cmd_table1(cli)?;
-        }
-        _ => {
-            println!(
-                "usage: experiments <fig1|gadget|lowerbound|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table1|sweep|conform|failures|serve|all> \
-                 [--full] [--threads N] [--format json|csv|text] [--out PATH] [--filter SUBSTR] [--limit N] [--tolerance T] \
-                 [--compress] [--compress-epsilon E] [--pareto] \
-                 [--events link|node|srlg|spike|all] [--profile] [--trace-out PATH] [--metrics-out PATH] \
-                 [--port N] [--topology T] [--model gravity|bimodal] [--budget N] [--no-comparator]"
-            );
-        }
+fn cmd_help(_: &Cli) -> Outcome {
+    print!("{}", usage());
+    Ok(())
+}
+
+fn cmd_all(cli: &Cli) -> Outcome {
+    // `all` prints a stream of reports, and CSV has no shared schema.
+    if cli.format == ReportFormat::Csv {
+        return Err("--format csv is not supported with all (the sub-reports \
+                    have different schemas); run commands individually"
+            .into());
+    }
+    for command in COMMANDS.iter().filter(|c| c.figure) {
+        (command.run)(cli)?;
     }
     Ok(())
 }
 
-fn cmd_fig1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fig1(cli: &Cli) -> Outcome {
     let r = fig1_running_example()?;
     let rows = vec![
         vec!["ECMP (unit weights)".to_string(), ratio(r.ecmp_ratio)],
@@ -500,7 +440,7 @@ fn cmd_fig1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     cli.emit(text, serde_json::to_string_pretty(&r)?, None)
 }
 
-fn cmd_gadget(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_gadget(cli: &Cli) -> Outcome {
     let r = theorem1_gadget(&[1.0, 2.0, 3.0, 4.0])?;
     let rows = vec![
         vec!["balanced orientation".to_string(), ratio(r.balanced_ratio)],
@@ -517,7 +457,7 @@ fn cmd_gadget(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     cli.emit(text, serde_json::to_string_pretty(&r)?, None)
 }
 
-fn cmd_lowerbound(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_lowerbound(cli: &Cli) -> Outcome {
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for n in [3usize, 5, 8, 12] {
@@ -537,36 +477,36 @@ fn cmd_lowerbound(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn protocol_series(rows: &[ProtocolRatios]) -> Vec<Series> {
-    vec![
-        Series {
-            label: "ECMP".into(),
-            points: rows.iter().map(|r| (r.margin, r.ecmp)).collect(),
-        },
-        Series {
-            label: "Base-TM-opt".into(),
-            points: rows.iter().map(|r| (r.margin, r.base)).collect(),
-        },
-        Series {
-            label: "COYOTE-obl".into(),
-            points: rows
-                .iter()
-                .map(|r| (r.margin, r.coyote_oblivious))
-                .collect(),
-        },
-        Series {
-            label: "COYOTE-partial".into(),
-            points: rows.iter().map(|r| (r.margin, r.coyote_partial)).collect(),
-        },
-    ]
+    let lines: [(&str, fn(&ProtocolRatios) -> f64); 4] = [
+        ("ECMP", |r| r.ecmp),
+        ("Base-TM-opt", |r| r.base),
+        ("COYOTE-obl", |r| r.coyote_oblivious),
+        ("COYOTE-partial", |r| r.coyote_partial),
+    ];
+    lines
+        .iter()
+        .map(|(label, y)| Series {
+            label: label.to_string(),
+            points: rows.iter().map(|r| (r.margin, y(r))).collect(),
+        })
+        .collect()
 }
 
-fn cmd_margin_figure(
-    cli: &Cli,
-    figure: &str,
-    topology: &str,
-    model: BaseModel,
-    heuristic: WeightHeuristic,
-) -> Result<(), Box<dyn std::error::Error>> {
+/// Emits a ratio-vs-margin figure: the series table in text, one
+/// `RATIO_COLUMNS` row per margin in CSV.
+fn emit_margin_rows(cli: &Cli, title: String, rows: &[ProtocolRatios]) -> Outcome {
+    cli.emit(
+        format!(
+            "{title}\n{}",
+            format_series("margin", &protocol_series(rows))
+        ),
+        serde_json::to_string_pretty(rows)?,
+        Some(csv_table(RATIO_COLUMNS, rows)),
+    )
+}
+
+fn cmd_margin_figure(cli: &Cli, figure: &str, topology: &str, model: BaseModel) -> Outcome {
+    let heuristic = WeightHeuristic::InverseCapacity;
     let margins = fig6_margins(cli.effort);
     let rows = margin_sweep(
         topology,
@@ -576,20 +516,15 @@ fn cmd_margin_figure(
         cli.effort,
         cli.threads,
     )?;
-    let text = format!(
-        "== {figure}: {topology}, {} model, {} weights (ratio vs margin) ==\n{}",
+    let title = format!(
+        "== {figure}: {topology}, {} model, {} weights (ratio vs margin) ==",
         model.name(),
         heuristic.name(),
-        format_series("margin", &protocol_series(&rows))
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&rows)?,
-        Some(ratios_csv(&rows)),
-    )
+    emit_margin_rows(cli, title, &rows)
 }
 
-fn cmd_fig9(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fig9(cli: &Cli) -> Outcome {
     let margins = match cli.effort {
         Effort::Quick => vec![1.0, 2.0, 3.0, 5.0],
         Effort::Full => vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
@@ -602,18 +537,11 @@ fn cmd_fig9(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         cli.effort,
         cli.threads,
     )?;
-    let text = format!(
-        "== fig9: Abilene, bimodal model, local-search weights ==\n{}",
-        format_series("margin", &protocol_series(&rows))
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&rows)?,
-        Some(ratios_csv(&rows)),
-    )
+    let title = "== fig9: Abilene, bimodal model, local-search weights ==".to_string();
+    emit_margin_rows(cli, title, &rows)
 }
 
-fn cmd_fig10(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fig10(cli: &Cli) -> Outcome {
     let (topology, margin) = match cli.effort {
         Effort::Quick => ("Abilene", 2.0),
         Effort::Full => ("AS1755", 2.0),
@@ -640,7 +568,7 @@ fn cmd_fig10(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     cli.emit(text, serde_json::to_string_pretty(&r)?, None)
 }
 
-fn cmd_fig11(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fig11(cli: &Cli) -> Outcome {
     let topologies = fig11_topologies(cli.effort);
     let rows = fig11_stretch(&topologies, cli.effort, cli.threads)?;
     let table: Vec<Vec<String>> = rows
@@ -663,7 +591,7 @@ fn cmd_fig11(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     cli.emit(text, serde_json::to_string_pretty(&rows)?, None)
 }
 
-fn cmd_fig12(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fig12(cli: &Cli) -> Outcome {
     let results = fig12_prototype();
     let mut rows = Vec::new();
     for r in &results {
@@ -689,7 +617,7 @@ fn cmd_fig12(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     cli.emit(text, serde_json::to_string_pretty(&results)?, None)
 }
 
-fn cmd_table1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_table1(cli: &Cli) -> Outcome {
     let topologies = table1_topologies(cli.effort);
     let margins = table1_margins(cli.effort);
     let rows = table1(
@@ -699,97 +627,99 @@ fn cmd_table1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         cli.effort,
         cli.threads,
     )?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.topology.clone(),
-                format!("{:.1}", r.margin),
-                ratio(r.ecmp),
-                ratio(r.base),
-                ratio(r.coyote_oblivious),
-                ratio(r.coyote_partial),
-            ]
-        })
-        .collect();
     // A summary the paper states in prose: how much further from optimal
     // ECMP is, on average, compared to COYOTE.
     let avg: f64 =
         rows.iter().map(ProtocolRatios::ecmp_vs_coyote).sum::<f64>() / rows.len().max(1) as f64;
-    let text = format!(
-        "== Table I: gravity base model, reverse-capacity weights ==\n{}ECMP is on average {:.0}% further from optimum than COYOTE.",
-        format_table(
-            &["network", "margin", "ECMP", "Base", "COYOTE obl.", "COYOTE par.know."],
-            &table
-        ),
+    let footer = format!(
+        "ECMP is on average {:.0}% further from optimum than COYOTE.",
         (avg - 1.0) * 100.0
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&rows)?,
-        Some(ratios_csv(&rows)),
-    )
+    let title = "== Table I: gravity base model, reverse-capacity weights ==";
+    cli.emit_table(title, RATIO_COLUMNS, &rows, &footer, &rows)
 }
 
-fn cmd_sweep(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let mut grid = SweepGrid::full(cli.effort);
-    if let Some(pattern) = &cli.filter {
-        grid = grid.filter(pattern);
+/// What `--filter` and `--limit` need of a scenario or failure grid.
+trait Grid: Sized {
+    fn filter(self, pattern: &str) -> Self;
+    fn limit(self, n: usize) -> Self;
+    fn len(&self) -> usize;
+}
+
+impl Grid for SweepGrid {
+    fn filter(self, pattern: &str) -> Self {
+        SweepGrid::filter(self, pattern)
     }
-    if let Some(n) = cli.limit {
-        grid = grid.limit(n);
+    fn limit(self, n: usize) -> Self {
+        SweepGrid::limit(self, n)
     }
-    if grid.is_empty() {
-        return Err("the filter/limit selection matched no scenarios".into());
+    fn len(&self) -> usize {
+        SweepGrid::len(self)
     }
+}
+
+impl Grid for FailureGrid {
+    fn filter(self, pattern: &str) -> Self {
+        FailureGrid::filter(self, pattern)
+    }
+    fn limit(self, n: usize) -> Self {
+        FailureGrid::limit(self, n)
+    }
+    fn len(&self) -> usize {
+        FailureGrid::len(self)
+    }
+}
+
+/// The `--filter`/`--limit` slice of a grid command's grid: the cells to
+/// run, the whole grid's size, and the report header's scope (`whole` for
+/// the whole grid, else `slice` followed by the filter and limit).
+fn select<G: Grid>(
+    cli: &Cli,
+    grid: G,
+    whole: &str,
+    slice: &str,
+) -> Result<(G, usize, String), String> {
+    let of = grid.len();
+    // An empty pattern matches every cell.
+    let pattern = cli.filter.as_deref().unwrap_or("");
+    let grid = grid.filter(pattern).limit(cli.limit.unwrap_or(usize::MAX));
+    if grid.len() == 0 {
+        return Err("the filter/limit selection matched no grid cells".into());
+    }
+    let filter = cli.filter.iter().map(|p| format!(", filter {p:?}"));
+    let selection: String = filter
+        .chain(cli.limit.map(|n| format!(", limit {n}")))
+        .collect();
+    let scope = if selection.is_empty() {
+        whole.to_string()
+    } else {
+        format!("{slice}{selection}")
+    };
+    Ok((grid, of, scope))
+}
+
+fn cmd_sweep(cli: &Cli) -> Outcome {
+    let grid = SweepGrid::full(cli.effort);
+    let (grid, of, scope) = select(cli, grid, "full scenario grid", "grid slice")?;
     eprintln!(
         "sweeping {} scenario(s) on {} thread(s)...",
         grid.len(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
-        }
+        cli.threads_label()
     );
-    let profiler = Profiler::start(cli);
-    let report = run_sweep(&grid, cli.threads)?;
-    let footer = profiler.finish(cli)?;
-    let mut selection = String::new();
-    if let Some(pattern) = &cli.filter {
-        selection.push_str(&format!(", filter {pattern:?}"));
-    }
-    if let Some(n) = cli.limit {
-        selection.push_str(&format!(", limit {n}"));
-    }
-    let scope = if selection.is_empty() {
-        "full scenario grid".to_string()
-    } else {
-        format!("grid slice{selection}")
-    };
-    let text = format!(
-        "== sweep: {scope} ({} of {} topologies × models × margins cells) ==\n{}{}",
-        grid.len(),
-        SweepGrid::full(cli.effort).len(),
-        sweep_text(&report),
-        footer
+    let (report, profile) = profiled(cli, || run_sweep(&grid, cli.threads))?;
+    let title = format!(
+        "== sweep: {scope} ({} of {of} topologies × models × margins cells) ==",
+        grid.len()
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(sweep_csv(&report)),
-    )
+    let footer = sweep_footer(&report) + &profile;
+    cli.emit_table(&title, SWEEP_COLUMNS, &report.records, &footer, &report)
 }
 
-fn cmd_conform(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let mut grid = SweepGrid::conformance(cli.effort);
-    if let Some(pattern) = &cli.filter {
-        grid = grid.filter(pattern);
-    }
-    if let Some(n) = cli.limit {
-        grid = grid.limit(n);
-    }
-    if grid.is_empty() {
-        return Err("the filter/limit selection matched no scenarios".into());
+fn cmd_conform(cli: &Cli) -> Outcome {
+    let grid = SweepGrid::conformance(cli.effort);
+    let (grid, of, scope) = select(cli, grid, "full conformance grid", "grid slice")?;
+    if cli.pareto {
+        return cmd_conform_pareto(cli, &grid);
     }
     let level = if cli.compress {
         CompressionLevel::Lossy {
@@ -798,78 +728,51 @@ fn cmd_conform(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         CompressionLevel::Off
     };
-    if cli.pareto {
-        return cmd_conform_pareto(cli, &grid);
-    }
     eprintln!(
         "checking conformance of {} cell(s) on {} thread(s), tolerance {}, compression {}...",
         grid.len(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
-        },
+        cli.threads_label(),
         cli.tolerance,
         level.label()
     );
-    let profiler = Profiler::start(cli);
-    let report = run_conformance_with(&grid, cli.threads, cli.tolerance, level)?;
-    let footer = profiler.finish(cli)?;
-    let mut selection = String::new();
-    if let Some(pattern) = &cli.filter {
-        selection.push_str(&format!(", filter {pattern:?}"));
-    }
-    if let Some(n) = cli.limit {
-        selection.push_str(&format!(", limit {n}"));
-    }
-    let scope = if selection.is_empty() {
-        "full conformance grid".to_string()
-    } else {
-        format!("grid slice{selection}")
-    };
-    let text = format!(
-        "== conform: {scope} ({} of {} topology × model cells) ==\n{}{}",
-        grid.len(),
-        SweepGrid::conformance(cli.effort).len(),
-        conformance_text(&report),
-        footer
+    let (report, profile) = profiled(cli, || {
+        run_conformance_with(&grid, cli.threads, cli.tolerance, level)
+    })?;
+    let title = format!(
+        "== conform: {scope} ({} of {of} topology × model cells) ==",
+        grid.len()
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(conformance_csv(&report)),
+    let footer = conformance_footer(&report) + &profile;
+    cli.emit_table(
+        &title,
+        CONFORMANCE_COLUMNS,
+        &report.records,
+        &footer,
+        &report,
     )
 }
 
 /// The `conform --pareto` path: sweep the selected grid once per
 /// compression level and emit the fake-nodes-vs-split-error trade-off.
-fn cmd_conform_pareto(cli: &Cli, grid: &SweepGrid) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_conform_pareto(cli: &Cli, grid: &SweepGrid) -> Outcome {
     let levels = default_pareto_levels();
     eprintln!(
         "pareto sweep: {} cell(s) x {} compression level(s) on {} thread(s), tolerance {}...",
         grid.len(),
         levels.len(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
-        },
+        cli.threads_label(),
         cli.tolerance
     );
-    let profiler = Profiler::start(cli);
-    let report = run_pareto(grid, cli.threads, cli.tolerance, &levels)?;
-    let footer = profiler.finish(cli)?;
-    let text = format!(
-        "== conform --pareto: compression trade-off over {} cell(s) ==\n{}{}",
-        grid.len(),
-        pareto_text(&report),
-        footer
+    let (report, profile) = profiled(cli, || {
+        run_pareto(grid, cli.threads, cli.tolerance, &levels)
+    })?;
+    let title = format!(
+        "== conform --pareto: compression trade-off over {} cell(s) ==",
+        grid.len()
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(pareto_csv(&report)),
-    )
+    let footer = pareto_footer(&report) + &profile;
+    let rows = pareto_rows(&report);
+    cli.emit_table(&title, &pareto_columns(), &rows, &footer, &report)
 }
 
 /// The `serve` command: start the long-running incremental TE daemon.
@@ -880,16 +783,15 @@ fn cmd_conform_pareto(cli: &Cli, grid: &SweepGrid) -> Result<(), Box<dyn std::er
 /// exposed through `/state` as `batch_recompile_micros`. That is the
 /// "full-grid recompile" comparator the serving layer's incremental re-opt
 /// latencies are benchmarked against in `BENCH_serve.json`.
-fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_serve(cli: &Cli) -> Outcome {
     use coyote_serve::{DemandModel, EngineConfig, Server, ServerConfig, TeEngine};
 
-    let model = match cli.model.as_str() {
-        "bimodal" => DemandModel::Bimodal { seed: 42 },
-        _ => DemandModel::Gravity { total: Some(100.0) },
-    };
-    let base_model = match cli.model.as_str() {
-        "bimodal" => BaseModel::Bimodal,
-        _ => BaseModel::Gravity,
+    let (model, base_model) = match cli.model.as_str() {
+        "bimodal" => (DemandModel::Bimodal { seed: 42 }, BaseModel::Bimodal),
+        _ => (
+            DemandModel::Gravity { total: Some(100.0) },
+            BaseModel::Gravity,
+        ),
     };
 
     let batch_recompile_micros = if cli.no_comparator {
@@ -947,64 +849,30 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_failures(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let full_len = FailureGrid::standard(cli.effort, cli.events)?.len();
-    let mut grid = FailureGrid::standard(cli.effort, cli.events)?;
-    if let Some(pattern) = &cli.filter {
-        grid = grid.filter(pattern);
-    }
-    if let Some(n) = cli.limit {
-        grid = grid.limit(n);
-    }
-    if grid.is_empty() {
-        return Err("the filter/limit selection matched no failure cells".into());
-    }
+fn cmd_failures(cli: &Cli) -> Outcome {
+    let events = cli.events.name();
+    let grid = FailureGrid::standard(cli.effort, cli.events)?;
+    let (grid, of, scope) = select(
+        cli,
+        grid,
+        &format!("full failure grid, {events} events"),
+        &format!("grid slice ({events} events)"),
+    )?;
     eprintln!(
-        "injecting {} failure cell(s) ({} events) on {} thread(s), tolerance {}...",
+        "injecting {} failure cell(s) ({events} events) on {} thread(s), tolerance {}...",
         grid.len(),
-        cli.events.name(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
-        },
+        cli.threads_label(),
         cli.tolerance
     );
-    let profiler = Profiler::start(cli);
-    let report = run_failures(&grid, cli.threads, cli.tolerance)?;
-    let footer = profiler.finish(cli)?;
-    let mut selection = String::new();
-    if let Some(pattern) = &cli.filter {
-        selection.push_str(&format!(", filter {pattern:?}"));
-    }
-    if let Some(n) = cli.limit {
-        selection.push_str(&format!(", limit {n}"));
-    }
-    let scope = if selection.is_empty() {
-        format!("full failure grid, {} events", cli.events.name())
-    } else {
-        format!("grid slice ({} events){selection}", cli.events.name())
-    };
-    let text = format!(
-        "== failures: {scope} ({} of {} scenario × event cells) ==\n{}{}",
-        grid.len(),
-        full_len,
-        failures_text(&report),
-        footer
+    let (report, profile) = profiled(cli, || run_failures(&grid, cli.threads, cli.tolerance))?;
+    let title = format!(
+        "== failures: {scope} ({} of {of} scenario × event cells) ==",
+        grid.len()
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(failures_csv(&report)),
-    )
+    let footer = failures_footer(&report) + &profile;
+    cli.emit_table(&title, FAILURE_COLUMNS, &report.records, &footer, &report)
 }
 
-// Unwrap audit (ISSUE 10 satellite): the only `unwrap` left in this binary
-// is the `it.next().cloned().unwrap()` inside `Cli::value`, which is guarded
-// by the `it.peek()` match arm on the immediately preceding line and can
-// therefore never fire. Every user-reachable failure — malformed flag
-// values, repeated flags, unknown flags, unwritable `--out` paths — flows
-// through `Result` and surfaces as an `error:` line with a non-zero exit.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1025,7 +893,10 @@ mod tests {
     #[test]
     fn json_and_format_share_one_slot() {
         let err = parse(&["sweep", "--json", "--format", "csv"]).unwrap_err();
-        assert!(err.contains("--format") && err.contains("more than once"), "{err}");
+        assert!(
+            err.contains("--format") && err.contains("more than once"),
+            "{err}"
+        );
         let err = parse(&["sweep", "--format", "csv", "--json"]).unwrap_err();
         assert!(err.contains("more than once"), "{err}");
     }
@@ -1100,5 +971,94 @@ mod tests {
             .emit("text".to_string(), "{}".to_string(), None)
             .unwrap_err();
         assert!(err.to_string().contains("No such file"), "{err}");
+    }
+
+    #[test]
+    fn unknown_commands_are_errors_and_help_is_the_default() {
+        let err = parse(&["fig13"]).unwrap_err();
+        assert!(err.contains("unknown command \"fig13\""), "{err}");
+        assert_eq!(parse(&[]).unwrap().command, "help");
+        assert_eq!(parse(&["help"]).unwrap().command, "help");
+    }
+
+    #[test]
+    fn a_flag_given_to_a_command_that_does_not_read_it_is_an_error() {
+        let err = parse(&["fig1", "--events", "link"]).unwrap_err();
+        assert!(err.contains("--events does not apply to fig1"), "{err}");
+        let err = parse(&["conform", "--port", "1"]).unwrap_err();
+        assert!(err.contains("--port does not apply to conform"), "{err}");
+        let err = parse(&["all", "--out", "x.txt"]).unwrap_err();
+        assert!(err.contains("--out does not apply to all"), "{err}");
+        let err = parse(&["serve", "--json"]).unwrap_err();
+        assert!(err.contains("--json does not apply to serve"), "{err}");
+        // `figures` covers every figure command, and only those.
+        assert!(parse(&["fig12", "--json"]).is_ok());
+        assert!(parse(&["fig12", "--full"]).is_err());
+    }
+
+    /// Every invocation the README, the CI workflow and the verify notes
+    /// show must keep parsing.
+    #[test]
+    fn documented_invocations_parse() {
+        for line in [
+            "fig1",
+            "fig1 --json",
+            "table1",
+            "fig6 --full",
+            "all",
+            "sweep",
+            "sweep --filter Abilene",
+            "sweep --threads 0 --filter Abilene --format csv --out report.csv",
+            "sweep --filter Abilene --threads 4 --format json --out sweep.json",
+            "sweep --limit 4 --format csv",
+            "sweep --filter Abilene --threads 2 --format json --out sweep-report.json",
+            "sweep --filter Abilene --threads 2 --format csv --out sweep-report.csv",
+            "conform",
+            "conform --filter Geant --tolerance 0.02 --format json --out conform.json",
+            "conform --filter Abilene --threads 2 --format json --out conform-report.json",
+            "conform --compress",
+            "conform --compress --compress-epsilon 0.005",
+            "conform --filter Abilene --compress --threads 2 --format json --out c.json",
+            "conform --filter Abilene --pareto --threads 2",
+            "conform --filter Abilene --pareto --threads 2 --format csv --out pareto-abilene.csv",
+            "conform --filter Abilene --pareto --format csv --out pareto.csv",
+            "conform --filter Abilene --profile --trace-out trace.json --metrics-out metrics.json",
+            "conform --filter Abilene --threads 2 --profile --metrics-out m.json --trace-out t.json",
+            "conform --threads 1 --format json --out conform_off.json",
+            "conform --compress --threads 1 --format json --out conform_lossy.json",
+            "failures",
+            "failures --filter Abilene --events link --format json --out failures.json",
+            "failures --filter Abilene --events link --threads 2 --format json --out f.json",
+            "serve --port 47391 --topology abilene --no-comparator",
+            "serve --port 47391 --topology abilene --model gravity --budget 5",
+            "serve --port 7300 --topology abilene --model gravity --budget 5",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            if let Err(e) = parse(&args) {
+                panic!("{line:?} no longer parses: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_command_and_flag() {
+        let text = usage();
+        for c in COMMANDS {
+            assert!(
+                text.contains(&format!("  {:<12}{}", c.name, c.help)),
+                "{}",
+                c.name
+            );
+        }
+        for f in FLAGS {
+            assert!(text.contains(&format!("--{}", f.name)), "{}", f.name);
+            for reader in f.readers.split(' ') {
+                assert!(
+                    reader == "figures" || find_command(reader).is_some(),
+                    "--{} names unknown command {reader}",
+                    f.name
+                );
+            }
+        }
     }
 }

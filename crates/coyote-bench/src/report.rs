@@ -1,47 +1,38 @@
 //! Report rendering for the experiment harness.
 //!
 //! Every experiment driver returns structured data; this module renders it
-//! as the aligned text tables the `experiments` binary prints, and as the
-//! machine-readable JSON/CSV run reports the sweep and conformance engines
-//! emit ([`ReportFormat`], [`sweep_text`], [`sweep_csv`],
-//! [`conformance_text`], [`conformance_csv`], [`pareto_text`],
-//! [`pareto_csv`], [`failures_text`], [`failures_csv`]; JSON goes through
-//! `serde_json` on the already-`Serialize` report types).
+//! as the aligned text tables the `experiments` binary prints and as CSV.
+//! Each tabular report declares its columns once ([`SWEEP_COLUMNS`],
+//! [`RATIO_COLUMNS`], [`CONFORMANCE_COLUMNS`], [`pareto_columns`],
+//! [`FAILURE_COLUMNS`]); [`text_table`] and [`csv_table`] render any column
+//! list, and the `*_footer` functions add each report's summary line. JSON
+//! goes through `serde_json` on the already-`Serialize` report types.
 
-use crate::conformance::{ConformanceReport, ParetoReport};
-use crate::failures::{FailureReport, ModeOutcome};
-use crate::sweep::SweepReport;
+use crate::conformance::{ConformanceRecord, ConformanceReport, ParetoPoint, ParetoReport};
+use crate::failures::{FailureRecord, FailureReport, ModeOutcome};
+use crate::scenario::ProtocolRatios;
+use crate::sweep::{SweepRecord, SweepReport};
 use coyote_obs::Snapshot;
 
 /// Renders an aligned text table. The first row is the header.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let render_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{:>width$}", cell, width = widths[i]));
-        }
-        line
+    let line = |cells: &mut dyn Iterator<Item = &str>| {
+        let padded: Vec<String> = cells
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        padded.join("  ") + "\n"
     };
-    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    out.push_str(&render_row(&header_cells, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1))));
-    out.push('\n');
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1));
+    let mut out = line(&mut headers.iter().copied()) + &rule + "\n";
     for row in rows {
-        out.push_str(&render_row(row, &widths));
-        out.push('\n');
+        out += &line(&mut row.iter().map(String::as_str));
     }
     out
 }
@@ -124,79 +115,142 @@ impl std::str::FromStr for ReportFormat {
     }
 }
 
-/// Header of the CSV sweep report (one column per [`crate::sweep::SweepRecord`] field).
-pub const SWEEP_CSV_HEADER: &str =
-    "topology,model,heuristic,margin,effort,ecmp,base,coyote_oblivious,coyote_partial,wall_secs";
-
-/// Renders a sweep report as CSV: one header line, one row per record, in
-/// grid order. Ratios keep full `f64` precision so reports can be diffed
-/// across runs/thread counts.
-pub fn sweep_csv(report: &SweepReport) -> String {
-    let mut out = String::from(SWEEP_CSV_HEADER);
-    out.push('\n');
-    for r in &report.records {
-        out.push_str(&format!(
-            "{},{},{},{},{:?},{},{},{},{},{:.6}\n",
-            r.spec.topology,
-            r.spec.model.name(),
-            r.spec.heuristic.name(),
-            r.spec.margin,
-            r.spec.effort,
-            r.ratios.ecmp,
-            r.ratios.base,
-            r.ratios.coyote_oblivious,
-            r.ratios.coyote_partial,
-            r.wall_secs,
-        ));
-    }
-    out
+/// One column of a tabular report over rows of type `R`: its CSV header,
+/// its text-table label and how one row renders in each format.
+pub struct Column<R> {
+    /// CSV header; `None` for a column shown only in the text table.
+    pub name: Option<Name>,
+    /// Text-table label; `None` for a column exported only to CSV.
+    pub label: Option<Name>,
+    cell: Cell<R>,
 }
 
-/// Renders bare [`ProtocolRatios`](crate::scenario::ProtocolRatios) rows
-/// (the margin figures and Table I) as CSV, full `f64` precision.
-pub fn ratios_csv(rows: &[crate::scenario::ProtocolRatios]) -> String {
-    let mut out = String::from("topology,margin,ecmp,base,coyote_oblivious,coyote_partial\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            r.topology, r.margin, r.ecmp, r.base, r.coyote_oblivious, r.coyote_partial,
-        ));
-    }
-    out
+/// A CSV header or text-table label.
+type Name = &'static str;
+
+/// How a column renders one row.
+enum Cell<R> {
+    /// The same string in both formats.
+    Same(fn(&R) -> String),
+    /// A number and its text and CSV formatters.
+    Num(fn(&R) -> f64, fn(f64) -> String, fn(f64) -> String),
+    /// Separate text and CSV renderings.
+    Split(fn(&R) -> String, fn(&R) -> String),
 }
 
-/// Renders a sweep report as an aligned text table plus a timing footer.
-pub fn sweep_text(report: &SweepReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .records
+impl<R> Column<R> {
+    const fn with(name: Option<Name>, label: Option<Name>, cell: Cell<R>) -> Self {
+        Self { name, label, cell }
+    }
+
+    /// A column rendered the same in both formats.
+    pub const fn same(name: Name, label: Name, cell: fn(&R) -> String) -> Self {
+        Self::with(Some(name), Some(label), Cell::Same(cell))
+    }
+
+    /// A numeric column: `fmt` formats it for the table; CSV keeps full
+    /// `f64` precision, so reports can be diffed across runs and thread
+    /// counts.
+    pub const fn num(name: Name, label: Name, fmt: fn(f64) -> String, get: fn(&R) -> f64) -> Self {
+        let cell = Cell::Num(get, fmt, |v| v.to_string());
+        Self::with(Some(name), Some(label), cell)
+    }
+
+    /// A column rendered differently in each format.
+    pub const fn split(
+        name: Name,
+        label: Name,
+        text: fn(&R) -> String,
+        csv: fn(&R) -> String,
+    ) -> Self {
+        Self::with(Some(name), Some(label), Cell::Split(text, csv))
+    }
+
+    /// A column exported only to CSV.
+    pub const fn csv(name: Name, cell: fn(&R) -> String) -> Self {
+        Self::with(Some(name), None, Cell::Same(cell))
+    }
+
+    /// A column shown only in the text table: a derived value, or one the
+    /// table places elsewhere than the CSV does.
+    pub const fn text(label: Name, cell: fn(&R) -> String) -> Self {
+        Self::with(None, Some(label), Cell::Same(cell))
+    }
+
+    /// The per-record wall-clock column every grid report ends with.
+    pub const fn wall_secs(value: fn(&R) -> f64) -> Self {
+        let cell = Cell::Num(value, |v| format!("{v:.2}s"), |v| format!("{v:.6}"));
+        Self::with(Some("wall_secs"), Some("wall"), cell)
+    }
+
+    fn text_cell(&self, row: &R) -> String {
+        match &self.cell {
+            Cell::Same(f) | Cell::Split(f, _) => f(row),
+            Cell::Num(value, text, _) => text(value(row)),
+        }
+    }
+
+    fn csv_cell(&self, row: &R) -> String {
+        match &self.cell {
+            Cell::Same(f) | Cell::Split(_, f) => f(row),
+            Cell::Num(value, _, csv) => csv(value(row)),
+        }
+    }
+}
+
+/// Renders `rows` as an aligned text table of the labelled columns.
+pub fn text_table<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let shown: Vec<&Column<R>> = columns.iter().filter(|c| c.label.is_some()).collect();
+    let headers: Vec<&str> = shown.iter().filter_map(|c| c.label).collect();
+    let cells: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| {
-            vec![
-                r.spec.topology.clone(),
-                r.spec.model.name().to_string(),
-                format!("{:.1}", r.spec.margin),
-                ratio(r.ratios.ecmp),
-                ratio(r.ratios.base),
-                ratio(r.ratios.coyote_oblivious),
-                ratio(r.ratios.coyote_partial),
-                format!("{:.2}s", r.wall_secs),
-            ]
-        })
+        .map(|r| shown.iter().map(|c| c.text_cell(r)).collect())
         .collect();
-    let mut out = format_table(
-        &[
-            "network",
-            "model",
-            "margin",
-            "ECMP",
-            "Base",
-            "COYOTE obl.",
-            "COYOTE par.know.",
-            "wall",
-        ],
-        &rows,
-    );
-    out.push_str(&format!(
+    format_table(&headers, &cells)
+}
+
+/// Renders `rows` as CSV: one header line of the named columns, then one
+/// line per row, in order.
+pub fn csv_table<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let shown: Vec<&Column<R>> = columns.iter().filter(|c| c.name.is_some()).collect();
+    let header: Vec<&str> = shown.iter().filter_map(|c| c.name).collect();
+    let mut out = header.join(",") + "\n";
+    for r in rows {
+        let cells: Vec<String> = shown.iter().map(|c| c.csv_cell(r)).collect();
+        out.push_str(&cells.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// `v` with `D` decimals.
+fn fixed<const D: usize>(v: f64) -> String {
+    format!("{v:.D$}")
+}
+
+/// `v` with `digits` decimals, or `missing` when there is no value.
+fn maybe(v: Option<f64>, digits: usize, missing: &str) -> String {
+    v.map_or_else(|| missing.to_string(), |v| format!("{v:.digits$}"))
+}
+
+/// The columns of a sweep report, one row per [`SweepRecord`].
+#[rustfmt::skip]
+pub const SWEEP_COLUMNS: &[Column<SweepRecord>] = &[
+    Column::same("topology", "network", |r| r.spec.topology.clone()),
+    Column::same("model", "model", |r| r.spec.model.name().to_string()),
+    Column::csv("heuristic", |r| r.spec.heuristic.name().to_string()),
+    Column::num("margin", "margin", fixed::<1>, |r| r.spec.margin),
+    Column::csv("effort", |r| format!("{:?}", r.spec.effort)),
+    Column::num("ecmp", "ECMP", ratio, |r| r.ratios.ecmp),
+    Column::num("base", "Base", ratio, |r| r.ratios.base),
+    Column::num("coyote_oblivious", "COYOTE obl.", ratio, |r| r.ratios.coyote_oblivious),
+    Column::num("coyote_partial", "COYOTE par.know.", ratio, |r| r.ratios.coyote_partial),
+    Column::wall_secs(|r| r.wall_secs),
+];
+
+/// The sweep report's timing footer.
+pub fn sweep_footer(report: &SweepReport) -> String {
+    format!(
         "{} scenarios on {} thread(s): {:.2}s wall, {:.2}s cpu ({:.2}x speedup)\n",
         report.scenarios,
         report.threads,
@@ -207,95 +261,59 @@ pub fn sweep_text(report: &SweepReport) -> String {
         } else {
             1.0
         },
-    ));
-    out
+    )
 }
 
-/// Header of the CSV conformance report (one column per
-/// [`crate::conformance::ConformanceRecord`] field, with the two simulated
-/// matrices flattened).
-pub const CONFORMANCE_CSV_HEADER: &str = "topology,model,heuristic,margin,effort,\
-faithful,dags_match,max_split_error,fake_nodes,prefix_advertisements,compression,\
-max_fake_nodes_per_destination,\
-base_intended_util,base_realized_util,worst_intended_util,worst_realized_util,\
-base_intended_drop,base_realized_drop,worst_intended_drop,worst_realized_drop,\
-max_utilization_delta,drop_rate_delta,within_tolerance,wall_secs";
+/// The columns of bare [`ProtocolRatios`] rows: Table I and the margin
+/// figures' CSV.
+#[rustfmt::skip]
+pub const RATIO_COLUMNS: &[Column<ProtocolRatios>] = &[
+    Column::same("topology", "network", |r| r.topology.clone()),
+    Column::num("margin", "margin", fixed::<1>, |r| r.margin),
+    Column::num("ecmp", "ECMP", ratio, |r| r.ecmp),
+    Column::num("base", "Base", ratio, |r| r.base),
+    Column::num("coyote_oblivious", "COYOTE obl.", ratio, |r| r.coyote_oblivious),
+    Column::num("coyote_partial", "COYOTE par.know.", ratio, |r| r.coyote_partial),
+];
 
-/// Renders a conformance report as CSV: one header line, one row per cell,
-/// in grid order. Deltas and utilizations keep full `f64` precision so
-/// reports can be diffed across runs/thread counts.
-pub fn conformance_csv(report: &ConformanceReport) -> String {
-    let mut out = String::from(CONFORMANCE_CSV_HEADER);
-    out.push('\n');
-    for r in &report.records {
-        out.push_str(&format!(
-            "{},{},{},{},{:?},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6}\n",
-            r.spec.topology,
-            r.spec.model.name(),
-            r.spec.heuristic.name(),
-            r.spec.margin,
-            r.spec.effort,
-            r.faithful,
-            r.dags_match,
-            r.max_split_error,
-            r.fake_nodes,
-            r.prefix_advertisements,
-            r.compression,
-            r.max_fake_nodes_per_destination,
-            r.base.intended.max_utilization,
-            r.base.realized.max_utilization,
-            r.worst.intended.max_utilization,
-            r.worst.realized.max_utilization,
-            r.base.intended.drop_rate,
-            r.base.realized.drop_rate,
-            r.worst.intended.drop_rate,
-            r.worst.realized.drop_rate,
-            r.max_utilization_delta,
-            r.drop_rate_delta,
-            r.within_tolerance,
-            r.wall_secs,
-        ));
-    }
-    out
-}
+/// The columns of a conformance report, one row per
+/// [`ConformanceRecord`]; CSV flattens the two simulated matrices.
+#[rustfmt::skip]
+pub const CONFORMANCE_COLUMNS: &[Column<ConformanceRecord>] = &[
+    Column::same("topology", "network", |r| r.spec.topology.clone()),
+    Column::same("model", "model", |r| r.spec.model.name().to_string()),
+    Column::csv("heuristic", |r| r.spec.heuristic.name().to_string()),
+    Column::num("margin", "margin", fixed::<1>, |r| r.spec.margin),
+    Column::csv("effort", |r| format!("{:?}", r.spec.effort)),
+    Column::split("faithful", "faithful",
+        |r| if r.faithful { "yes" } else { "NO" }.to_string(), |r| r.faithful.to_string()),
+    // The text table shows the fake count before the split error.
+    Column::text("fakes", |r| r.fake_nodes.to_string()),
+    Column::csv("dags_match", |r| r.dags_match.to_string()),
+    Column::num("max_split_error", "split err", fixed::<4>, |r| r.max_split_error),
+    Column::csv("fake_nodes", |r| r.fake_nodes.to_string()),
+    Column::csv("prefix_advertisements", |r| r.prefix_advertisements.to_string()),
+    Column::csv("compression", |r| r.compression.clone()),
+    Column::csv("max_fake_nodes_per_destination", |r| r.max_fake_nodes_per_destination.to_string()),
+    Column::csv("base_intended_util", |r| r.base.intended.max_utilization.to_string()),
+    Column::csv("base_realized_util", |r| r.base.realized.max_utilization.to_string()),
+    Column::csv("worst_intended_util", |r| r.worst.intended.max_utilization.to_string()),
+    Column::csv("worst_realized_util", |r| r.worst.realized.max_utilization.to_string()),
+    Column::csv("base_intended_drop", |r| r.base.intended.drop_rate.to_string()),
+    Column::csv("base_realized_drop", |r| r.base.realized.drop_rate.to_string()),
+    Column::csv("worst_intended_drop", |r| r.worst.intended.drop_rate.to_string()),
+    Column::csv("worst_realized_drop", |r| r.worst.realized.drop_rate.to_string()),
+    Column::num("max_utilization_delta", "util Δ", fixed::<4>, |r| r.max_utilization_delta),
+    Column::num("drop_rate_delta", "drop Δ", fixed::<4>, |r| r.drop_rate_delta),
+    Column::split("within_tolerance", "verdict",
+        |r| if r.within_tolerance { "pass" } else { "FAIL" }.to_string(),
+        |r| r.within_tolerance.to_string()),
+    Column::wall_secs(|r| r.wall_secs),
+];
 
-/// Renders a conformance report as an aligned text table plus a verdict
-/// footer.
-pub fn conformance_text(report: &ConformanceReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .records
-        .iter()
-        .map(|r| {
-            vec![
-                r.spec.topology.clone(),
-                r.spec.model.name().to_string(),
-                format!("{:.1}", r.spec.margin),
-                if r.faithful { "yes" } else { "NO" }.to_string(),
-                r.fake_nodes.to_string(),
-                format!("{:.4}", r.max_split_error),
-                format!("{:.4}", r.max_utilization_delta),
-                format!("{:.4}", r.drop_rate_delta),
-                if r.within_tolerance { "pass" } else { "FAIL" }.to_string(),
-                format!("{:.2}s", r.wall_secs),
-            ]
-        })
-        .collect();
-    let mut out = format_table(
-        &[
-            "network",
-            "model",
-            "margin",
-            "faithful",
-            "fakes",
-            "split err",
-            "util Δ",
-            "drop Δ",
-            "verdict",
-            "wall",
-        ],
-        &rows,
-    );
-    out.push_str(&format!(
+/// The conformance report's verdict footer.
+pub fn conformance_footer(report: &ConformanceReport) -> String {
+    format!(
         "{}/{} cells within tolerance {} (compression {}, {} fake nodes) on \
          {} thread(s): {:.2}s wall, {:.2}s cpu\n",
         report.pass_count(),
@@ -306,181 +324,93 @@ pub fn conformance_text(report: &ConformanceReport) -> String {
         report.threads,
         report.wall_secs,
         report.cpu_secs(),
-    ));
-    out
+    )
 }
 
-/// Header of the CSV Pareto report (one column per
-/// [`crate::conformance::ParetoPoint`] field).
-pub const PARETO_CSV_HEADER: &str = "level,epsilon,fake_nodes,prefix_advertisements,\
-fake_node_ratio,max_split_error,max_utilization_delta,cells_within_tolerance";
+/// One row of the Pareto table: a point and the report's cell count.
+pub type ParetoRow<'a> = (&'a ParetoPoint, usize);
 
-/// Renders a compression Pareto sweep as CSV: one header line, one row per
-/// level, in the order the levels were swept. Full `f64` precision so
-/// reports can be diffed across runs/thread counts.
-pub fn pareto_csv(report: &ParetoReport) -> String {
-    let mut out = String::from(PARETO_CSV_HEADER);
-    out.push('\n');
-    for p in &report.points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            p.level,
-            p.epsilon,
-            p.fake_nodes,
-            p.prefix_advertisements,
-            p.fake_node_ratio,
-            p.max_split_error,
-            p.max_utilization_delta,
-            p.cells_within_tolerance,
-        ));
-    }
-    out
+/// The rows of a compression Pareto sweep, one per level in sweep order.
+pub fn pareto_rows(report: &ParetoReport) -> Vec<ParetoRow<'_>> {
+    report.points.iter().map(|p| (p, report.cells)).collect()
 }
 
-/// Renders a compression Pareto sweep as an aligned text table (the
-/// fake-nodes-vs-split-error trade-off) plus a footer.
-pub fn pareto_text(report: &ParetoReport) -> String {
-    let rows: Vec<Vec<String>> = report
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.level.clone(),
-                p.fake_nodes.to_string(),
-                p.prefix_advertisements.to_string(),
-                format!("{:.3}", p.fake_node_ratio),
-                format!("{:.4}", p.max_split_error),
-                format!("{:.4}", p.max_utilization_delta),
-                format!("{}/{}", p.cells_within_tolerance, report.cells),
-            ]
-        })
-        .collect();
-    let mut out = format_table(
-        &[
-            "level",
-            "fakes",
-            "adverts",
-            "ratio",
-            "split err",
-            "util Δ",
-            "pass",
-        ],
-        &rows,
-    );
-    out.push_str(&format!(
+/// The columns of a compression Pareto sweep over [`pareto_rows`] (a
+/// function rather than a constant because the rows borrow the report).
+#[rustfmt::skip]
+pub fn pareto_columns<'a>() -> [Column<ParetoRow<'a>>; 8] {
+    [
+        Column::same("level", "level", |(p, _)| p.level.clone()),
+        Column::csv("epsilon", |(p, _)| p.epsilon.to_string()),
+        Column::same("fake_nodes", "fakes", |(p, _)| p.fake_nodes.to_string()),
+        Column::same("prefix_advertisements", "adverts",
+            |(p, _)| p.prefix_advertisements.to_string()),
+        Column::num("fake_node_ratio", "ratio", fixed::<3>, |(p, _)| p.fake_node_ratio),
+        Column::num("max_split_error", "split err", fixed::<4>, |(p, _)| p.max_split_error),
+        Column::num("max_utilization_delta", "util Δ", fixed::<4>,
+            |(p, _)| p.max_utilization_delta),
+        Column::split("cells_within_tolerance", "pass",
+            |(p, cells)| format!("{}/{cells}", p.cells_within_tolerance),
+            |(p, _)| p.cells_within_tolerance.to_string()),
+    ]
+}
+
+/// The Pareto sweep's footer.
+pub fn pareto_footer(report: &ParetoReport) -> String {
+    format!(
         "{} levels x {} cells, tolerance {}, on {} thread(s): {:.2}s wall\n",
         report.points.len(),
         report.cells,
         report.tolerance,
         report.threads,
         report.wall_secs,
-    ));
-    out
+    )
 }
 
-/// Column header of the failure-engine CSV export.
-pub const FAILURES_CSV_HEADER: &str = "cell,topology,model,margin,event,verdict,\
-    oblivious_util,oblivious_drop,oblivious_unrouted,\
-    reoptimized_util,reoptimized_drop,degradation_ratio,\
-    fake_lsa_delta,dead_demand_volume,unroutable_volume,wall_secs";
-
-fn mode_csv(mode: &Option<ModeOutcome>) -> (String, String, String) {
-    match mode {
-        Some(m) => (
-            format!("{:.6}", m.max_utilization),
-            format!("{:.6}", m.sim.drop_rate),
-            format!("{:.6}", m.sim.unrouted),
-        ),
-        None => ("".into(), "".into(), "".into()),
-    }
+fn utilization(mode: &Option<ModeOutcome>) -> Option<f64> {
+    mode.as_ref().map(|m| m.max_utilization)
 }
 
-/// Renders a failure report as CSV, one row per grid cell. Missing modes
-/// (a captured reconvergence or re-optimization failure) render as empty
-/// fields, never as NaN.
-pub fn failures_csv(report: &FailureReport) -> String {
-    let mut out = String::from(FAILURES_CSV_HEADER);
-    out.push('\n');
-    for r in &report.records {
-        let (ou, od, ox) = mode_csv(&r.oblivious);
-        let (ru, rd, _) = mode_csv(&r.reoptimized);
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6}\n",
-            r.cell,
-            r.spec.topology,
-            r.spec.model.name(),
-            r.spec.margin,
-            r.event.id(),
-            r.outcome.name(),
-            ou,
-            od,
-            ox,
-            ru,
-            rd,
-            r.degradation_ratio
-                .map(|d| format!("{d:.6}"))
-                .unwrap_or_default(),
-            r.fake_lsa_delta,
-            r.dead_demand_volume,
-            r.unroutable_volume,
-            r.wall_secs,
-        ));
-    }
-    out
+fn drop_rate(mode: &Option<ModeOutcome>) -> Option<f64> {
+    mode.as_ref().map(|m| m.sim.drop_rate)
 }
 
-/// Renders a failure report as an aligned text table plus a verdict footer
-/// summarizing the within/degraded/unroutable split, the worst degradation
-/// ratio, and the total lost demand volume.
-pub fn failures_text(report: &FailureReport) -> String {
-    let util = |m: &Option<ModeOutcome>| {
-        m.as_ref()
-            .map(|m| format!("{:.3}", m.max_utilization))
-            .unwrap_or_else(|| "-".into())
-    };
-    let drop = |m: &Option<ModeOutcome>| {
-        m.as_ref()
-            .map(|m| format!("{:.4}", m.sim.drop_rate))
-            .unwrap_or_else(|| "-".into())
-    };
-    let rows: Vec<Vec<String>> = report
-        .records
-        .iter()
-        .map(|r| {
-            vec![
-                r.spec.topology.clone(),
-                r.spec.model.name().to_string(),
-                r.event.id(),
-                util(&r.oblivious),
-                drop(&r.oblivious),
-                util(&r.reoptimized),
-                r.degradation_ratio
-                    .map(|d| format!("{d:.3}"))
-                    .unwrap_or_else(|| "-".into()),
-                r.fake_lsa_delta.to_string(),
-                format!("{:.3}", r.dead_demand_volume + r.unroutable_volume),
-                r.outcome.name().to_string(),
-                format!("{:.2}s", r.wall_secs),
-            ]
-        })
-        .collect();
-    let mut out = format_table(
-        &[
-            "network",
-            "model",
-            "event",
-            "obl util",
-            "obl drop",
-            "reopt util",
-            "degr",
-            "ΔLSA",
-            "lost vol",
-            "verdict",
-            "wall",
-        ],
-        &rows,
-    );
-    out.push_str(&format!(
+/// The columns of a failure report, one row per [`FailureRecord`]. A
+/// missing mode (a captured reconvergence or re-optimization failure)
+/// renders as `-` in text and as empty fields in CSV, never as NaN.
+#[rustfmt::skip]
+pub const FAILURE_COLUMNS: &[Column<FailureRecord>] = &[
+    Column::csv("cell", |r| r.cell.clone()),
+    Column::same("topology", "network", |r| r.spec.topology.clone()),
+    Column::same("model", "model", |r| r.spec.model.name().to_string()),
+    Column::csv("margin", |r| r.spec.margin.to_string()),
+    Column::same("event", "event", |r| r.event.id()),
+    Column::csv("verdict", |r| r.outcome.name().to_string()),
+    Column::split("oblivious_util", "obl util",
+        |r| maybe(utilization(&r.oblivious), 3, "-"), |r| maybe(utilization(&r.oblivious), 6, "")),
+    Column::split("oblivious_drop", "obl drop",
+        |r| maybe(drop_rate(&r.oblivious), 4, "-"), |r| maybe(drop_rate(&r.oblivious), 6, "")),
+    Column::csv("oblivious_unrouted",
+        |r| maybe(r.oblivious.as_ref().map(|m| m.sim.unrouted), 6, "")),
+    Column::split("reoptimized_util", "reopt util",
+        |r| maybe(utilization(&r.reoptimized), 3, "-"),
+        |r| maybe(utilization(&r.reoptimized), 6, "")),
+    Column::csv("reoptimized_drop", |r| maybe(drop_rate(&r.reoptimized), 6, "")),
+    Column::split("degradation_ratio", "degr",
+        |r| maybe(r.degradation_ratio, 3, "-"), |r| maybe(r.degradation_ratio, 6, "")),
+    Column::same("fake_lsa_delta", "ΔLSA", |r| r.fake_lsa_delta.to_string()),
+    Column::text("lost vol", |r| fixed::<3>(r.dead_demand_volume + r.unroutable_volume)),
+    // The text table shows the verdict last.
+    Column::text("verdict", |r| r.outcome.name().to_string()),
+    Column::csv("dead_demand_volume", |r| fixed::<6>(r.dead_demand_volume)),
+    Column::csv("unroutable_volume", |r| fixed::<6>(r.unroutable_volume)),
+    Column::wall_secs(|r| r.wall_secs),
+];
+
+/// The failure report's verdict footer: the within/degraded/unroutable
+/// split, the worst degradation ratio and the total lost demand volume.
+pub fn failures_footer(report: &FailureReport) -> String {
+    format!(
         "{} within / {} degraded / {} unroutable of {} cells, tolerance {}, \
          worst degradation {}, {:.3} demand units lost, on {} thread(s): \
          {:.2}s wall, {:.2}s cpu\n",
@@ -489,16 +419,12 @@ pub fn failures_text(report: &FailureReport) -> String {
         report.unroutable_count(),
         report.cells,
         report.tolerance,
-        report
-            .worst_degradation_ratio()
-            .map(|d| format!("{d:.3}"))
-            .unwrap_or_else(|| "-".into()),
+        maybe(report.worst_degradation_ratio(), 3, "-"),
         report.lost_volume(),
         report.threads,
         report.wall_secs,
         report.cpu_secs(),
-    ));
-    out
+    )
 }
 
 /// Formats a nanosecond quantity as seconds with millisecond precision.
@@ -558,6 +484,47 @@ mod tests {
     use crate::conformance::{ConformanceRecord, MatrixConformance, SimSummary};
     use crate::scenario::{BaseModel, Effort, ProtocolRatios, WeightHeuristic};
     use crate::sweep::{SweepRecord, SweepSpec};
+
+    /// The CSV header line a column list declares.
+    fn header<R>(columns: &[Column<R>]) -> String {
+        columns
+            .iter()
+            .filter_map(|c| c.name)
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    fn sweep_text(r: &SweepReport) -> String {
+        text_table(SWEEP_COLUMNS, &r.records) + &sweep_footer(r)
+    }
+
+    fn sweep_csv(r: &SweepReport) -> String {
+        csv_table(SWEEP_COLUMNS, &r.records)
+    }
+
+    fn conformance_text(r: &ConformanceReport) -> String {
+        text_table(CONFORMANCE_COLUMNS, &r.records) + &conformance_footer(r)
+    }
+
+    fn conformance_csv(r: &ConformanceReport) -> String {
+        csv_table(CONFORMANCE_COLUMNS, &r.records)
+    }
+
+    fn pareto_text(r: &ParetoReport) -> String {
+        text_table(&pareto_columns(), &pareto_rows(r)) + &pareto_footer(r)
+    }
+
+    fn pareto_csv(r: &ParetoReport) -> String {
+        csv_table(&pareto_columns(), &pareto_rows(r))
+    }
+
+    fn failures_text(r: &FailureReport) -> String {
+        text_table(FAILURE_COLUMNS, &r.records) + &failures_footer(r)
+    }
+
+    fn failures_csv(r: &FailureReport) -> String {
+        csv_table(FAILURE_COLUMNS, &r.records)
+    }
 
     fn sample_report() -> SweepReport {
         let spec = SweepSpec {
@@ -734,7 +701,7 @@ mod tests {
     #[test]
     fn ratios_renderings_are_pinned() {
         assert_eq!(
-            ratios_csv(&sample_ratios()),
+            csv_table(RATIO_COLUMNS, &sample_ratios()),
             concat!(
                 "topology,margin,ecmp,base,coyote_oblivious,coyote_partial\n",
                 "Abilene,1.5,1.8125,1.25,1.375,1.0625\n",
@@ -814,7 +781,7 @@ mod tests {
         let csv = conformance_csv(&sample_conformance_report(true));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], CONFORMANCE_CSV_HEADER);
+        assert_eq!(lines[0], header(CONFORMANCE_COLUMNS));
         assert_eq!(lines[1].split(',').count(), lines[0].split(',').count());
         assert!(lines[1].starts_with("Abilene,bimodal,reverse-capacities,2,"));
         assert!(lines[1].contains("true"));
@@ -864,7 +831,7 @@ mod tests {
         let csv = pareto_csv(&sample_pareto_report());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], PARETO_CSV_HEADER);
+        assert_eq!(lines[0], header(&pareto_columns()));
         // Rows come out in sweep order, one per level, same column count as
         // the header.
         assert!(lines[1].starts_with("off,0,100,102,1,"));
@@ -896,7 +863,7 @@ mod tests {
         };
         let csv = pareto_csv(&report);
         assert_eq!(csv.lines().count(), 1, "header only");
-        assert_eq!(csv.lines().next().unwrap(), PARETO_CSV_HEADER);
+        assert_eq!(csv.lines().next().unwrap(), header(&pareto_columns()));
         let text = pareto_text(&report);
         assert!(text.contains("0 levels x 0 cells"));
     }
@@ -914,7 +881,7 @@ mod tests {
         let csv = sweep_csv(&sample_report());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], SWEEP_CSV_HEADER);
+        assert_eq!(lines[0], header(SWEEP_COLUMNS));
         assert!(lines[1].starts_with("Abilene,gravity,reverse-capacities,2,"));
         assert_eq!(lines[1].split(',').count(), lines[0].split(',').count());
     }

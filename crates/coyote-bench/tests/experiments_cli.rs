@@ -48,7 +48,10 @@ fn gadget_renders_as_json() {
         .collect();
     assert_eq!(weights, [1.0, 2.0, 3.0, 4.0]);
     let balanced = doc.get("balanced_ratio").and_then(|v| v.as_f64()).unwrap();
-    let unbalanced = doc.get("unbalanced_ratio").and_then(|v| v.as_f64()).unwrap();
+    let unbalanced = doc
+        .get("unbalanced_ratio")
+        .and_then(|v| v.as_f64())
+        .unwrap();
     assert!((balanced - 4.0 / 3.0).abs() < 1e-4, "{balanced}");
     assert!((unbalanced - 2.0).abs() < 1e-4, "{unbalanced}");
 }
@@ -60,6 +63,40 @@ fn gadget_refuses_csv() {
     assert!(stdout(&out).is_empty(), "{}", stdout(&out));
     assert!(
         stderr(&out).contains("--format csv is not supported for gadget"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn unknown_command_prints_usage_to_stderr_and_exits_2() {
+    let out = experiments(&["fig13"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(
+        stderr(&out).starts_with("error: unknown command \"fig13\""),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stderr(&out).contains("usage: experiments <command> [flags]"));
+}
+
+#[test]
+fn help_and_a_missing_command_print_usage_and_succeed() {
+    for args in [&["help"][..], &[]] {
+        let out = experiments(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).starts_with("usage: experiments <command> [flags]"));
+        assert!(stdout(&out).contains("  --events E"), "{}", stdout(&out));
+    }
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_exits_2() {
+    let out = experiments(&["fig1", "--events", "link"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("--events does not apply to fig1"),
         "{}",
         stderr(&out)
     );
