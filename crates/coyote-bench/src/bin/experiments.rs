@@ -262,6 +262,11 @@ impl Cli {
             }
             flags.push(flag);
         }
+        let command = match command.map(|name| (name, find_command(name))) {
+            None => "help",
+            Some((_, Some(c))) => c.name,
+            Some((name, None)) => return Err(format!("unknown command {name:?}\n\n{}", usage())),
+        };
         let model = given.get("model").cloned().unwrap_or("gravity".into());
         if model != "gravity" && model != "bimodal" {
             return Err(format!("--model must be gravity or bimodal, got {model:?}"));
@@ -269,7 +274,7 @@ impl Cli {
         let compress_epsilon =
             non_negative(value(&given, "compress-epsilon")?, "compress-epsilon")?;
         let cli = Cli {
-            command: "help",
+            command,
             effort: given.get("full").map_or(Effort::Quick, |_| Effort::Full),
             threads: value(&given, "threads")?.unwrap_or(0),
             format: value(&given, "format")?.unwrap_or_default(),
@@ -294,18 +299,14 @@ impl Cli {
         if cli.budget == 0 {
             return Err("--budget must be at least 1".to_string());
         }
-        let command = match command.map(|name| (name, find_command(name))) {
-            None => "help",
-            Some((_, Some(c))) => c.name,
-            Some((name, None)) => return Err(format!("unknown command {name:?}")),
-        };
+        // Checked after the values, so a bad value is reported as such.
         if let Some(flag) = flags.iter().find(|f| !f.is_read_by(command)) {
             return Err(format!(
                 "--{} does not apply to {command} (read by: {})",
                 flag.name, flag.readers
             ));
         }
-        Ok(Cli { command, ..cli })
+        Ok(cli)
     }
 
     /// Emits one report in the requested format, to stdout or `--out`.
@@ -396,7 +397,7 @@ fn main() {
     let cli = match Cli::parse(&args) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
+            eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
@@ -477,17 +478,12 @@ fn cmd_lowerbound(cli: &Cli) -> Outcome {
 }
 
 fn protocol_series(rows: &[ProtocolRatios]) -> Vec<Series> {
-    let lines: [(&str, fn(&ProtocolRatios) -> f64); 4] = [
-        ("ECMP", |r| r.ecmp),
-        ("Base-TM-opt", |r| r.base),
-        ("COYOTE-obl", |r| r.coyote_oblivious),
-        ("COYOTE-partial", |r| r.coyote_partial),
-    ];
-    lines
-        .iter()
-        .map(|(label, y)| Series {
-            label: label.to_string(),
-            points: rows.iter().map(|r| (r.margin, y(r))).collect(),
+    let labels = ["ECMP", "Base-TM-opt", "COYOTE-obl", "COYOTE-partial"];
+    let ratios = |r: &ProtocolRatios| [r.ecmp, r.base, r.coyote_oblivious, r.coyote_partial];
+    (0..labels.len())
+        .map(|i| Series {
+            label: labels[i].to_string(),
+            points: rows.iter().map(|r| (r.margin, ratios(r)[i])).collect(),
         })
         .collect()
 }

@@ -119,9 +119,9 @@ impl std::str::FromStr for ReportFormat {
 /// its text-table label and how one row renders in each format.
 pub struct Column<R> {
     /// CSV header; `None` for a column shown only in the text table.
-    pub name: Option<Name>,
+    name: Option<Name>,
     /// Text-table label; `None` for a column exported only to CSV.
-    pub label: Option<Name>,
+    label: Option<Name>,
     cell: Cell<R>,
 }
 

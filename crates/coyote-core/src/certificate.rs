@@ -20,6 +20,9 @@
 //! *certified upper bound* on the oblivious ratio — the dual counterpart of
 //! the primal witness matrices produced by [`crate::worst_case`]; by LP
 //! duality the two coincide, which the tests check on the running example.
+//!
+//! The module is compiled only for tests: the pipeline never needs a dual
+//! certificate, but the duality check keeps the worst-case LP honest.
 
 use crate::error::CoreError;
 use crate::routing::PdRouting;
@@ -36,16 +39,6 @@ pub struct EdgeCertificate {
     pub weights: Vec<f64>,
     /// The certified bound `Σ_h π_e(h) · c_h` (requirement R1's left side).
     pub bound: f64,
-}
-
-/// A full certificate: one [`EdgeCertificate`] per edge that can carry
-/// traffic, plus the overall certified oblivious ratio.
-#[derive(Debug, Clone)]
-pub struct ObliviousCertificate {
-    /// Per-edge certificates.
-    pub edges: Vec<EdgeCertificate>,
-    /// The certified oblivious performance ratio (max of the edge bounds).
-    pub ratio: f64,
 }
 
 /// Computes the best (smallest-bound) certificate for a single edge of the
@@ -161,34 +154,29 @@ pub fn certify_edge(
     }))
 }
 
-/// Computes a certificate for every traffic-carrying edge and the certified
-/// oblivious ratio of the routing.
-pub fn certify_routing(
-    graph: &Graph,
-    routing: &PdRouting,
-) -> Result<ObliviousCertificate, CoreError> {
+/// Certifies every traffic-carrying edge and returns the certified
+/// oblivious ratio of the routing (the maximum of the edge bounds).
+pub fn certify_routing(graph: &Graph, routing: &PdRouting) -> Result<f64, CoreError> {
     let fractions = FractionTable::new(graph, routing);
-    let mut edges = Vec::new();
+    let mut certified = 0;
     let mut ratio = 0.0_f64;
     for e in graph.edges() {
         if let Some(cert) = certify_edge(graph, routing, &fractions, e)? {
             ratio = ratio.max(cert.bound);
-            edges.push(cert);
+            certified += 1;
         }
     }
-    if edges.is_empty() {
+    if certified == 0 {
         return Err(CoreError::InvalidRouting(
             "routing carries no traffic on any edge".into(),
         ));
     }
-    Ok(ObliviousCertificate { edges, ratio })
+    Ok(ratio)
 }
 
 /// Verifies requirement R1/R2 of Theorem 5 for a given certificate and
 /// returns the certified bound it actually proves for its edge (the maximum
 /// of the R1 left-hand side and the smallest scaling that makes R2 hold).
-/// Used in tests and by operators who want to double-check a configuration
-/// produced elsewhere.
 pub fn verify_certificate(
     graph: &Graph,
     routing: &PdRouting,
@@ -265,7 +253,7 @@ mod tests {
     fn certificate_matches_the_primal_worst_case_on_fig1_ecmp() {
         let (graph, nodes) = example_fig1::topology();
         let routing = ecmp_routing(&graph).unwrap();
-        let cert = certify_routing(&graph, &routing).unwrap();
+        let ratio = certify_routing(&graph, &routing).unwrap();
 
         // Primal adversary restricted to the same (unconstrained) demand set.
         let unc = UncertaintySet::oblivious(graph.node_count());
@@ -274,11 +262,11 @@ mod tests {
                 .unwrap();
         // Weak duality: the certificate bounds the primal from above; strong
         // duality (both are LPs) makes them equal up to solver tolerance.
-        assert!(cert.ratio >= primal.ratio - 1e-4);
+        assert!(ratio >= primal.ratio - 1e-4);
         assert!(
-            (cert.ratio - primal.ratio).abs() < 0.05,
+            (ratio - primal.ratio).abs() < 0.05,
             "dual {} vs primal {}",
-            cert.ratio,
+            ratio,
             primal.ratio
         );
         let _ = nodes;
@@ -288,7 +276,7 @@ mod tests {
     fn golden_routing_certificate_matches_its_exact_oblivious_ratio() {
         let (graph, nodes) = example_fig1::topology();
         let routing = example_fig1::golden_routing(&graph, &nodes);
-        let cert = certify_routing(&graph, &routing).unwrap();
+        let ratio = certify_routing(&graph, &routing).unwrap();
         // The certificate bounds the oblivious ratio over *all* demand
         // matrices (every source-destination pair), which is larger than the
         // two-user analytic value 1.236 but must agree with the primal
@@ -297,14 +285,14 @@ mod tests {
         let primal =
             performance_ratio_exact(&graph, &routing, &unc, RoutabilityScope::AllEdges, None)
                 .unwrap();
-        assert!(cert.ratio >= primal.ratio - 1e-4);
+        assert!(ratio >= primal.ratio - 1e-4);
         assert!(
-            (cert.ratio - primal.ratio).abs() < 0.1,
+            (ratio - primal.ratio).abs() < 0.1,
             "dual {} vs primal {}",
-            cert.ratio,
+            ratio,
             primal.ratio
         );
-        assert!(cert.ratio >= example_fig1::OPTIMAL_WORST_UTILIZATION - 1e-3);
+        assert!(ratio >= example_fig1::OPTIMAL_WORST_UTILIZATION - 1e-3);
     }
 
     #[test]

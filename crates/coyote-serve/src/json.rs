@@ -1,10 +1,14 @@
-//! A minimal JSON parser for request bodies.
+//! The workspace's JSON reader: the daemon's request bodies, and the test
+//! suites that check what the exporters write.
 //!
-//! The workspace's vendored `serde_json` stand-in is serialize-only (the
-//! batch pipeline never needed to read JSON), so the daemon brings its own
-//! recursive-descent parser: objects, arrays, strings with the standard
-//! escapes, numbers, booleans and null. Depth-limited; no trailing garbage.
+//! The workspace's vendored `serde_json` stand-in is serialize-only, so this
+//! is a recursive-descent parser of RFC 8259: objects, arrays, strings with
+//! the standard escapes (no raw control bytes; `\u` takes exactly four hex
+//! digits), numbers of the form `-?digits(.digits)?([eE][+-]?digits)?`,
+//! booleans and null. Depth-limited; no trailing garbage, no duplicate
+//! object keys. Decoding is linear in the input size.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -66,13 +70,13 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document; rejects trailing non-whitespace.
+/// Parses a complete JSON document (RFC 8259); rejects trailing
+/// non-whitespace and duplicate object keys.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(value)
@@ -86,20 +90,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     if depth > MAX_DEPTH {
         return Err("nesting too deep".to_string());
     }
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
+        Some(b'{') => parse_object(text, pos, depth),
+        Some(b'[') => parse_array(text, pos, depth),
+        Some(b'"') => parse_string(text, pos).map(JsonValue::String),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -117,24 +122,58 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Advances over one or more ASCII digits.
+fn digits(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    if *pos == start {
+        return Err(format!("expected a digit at byte {start}"));
+    }
+    Ok(())
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// `-?digits(.digits)?([eE][+-]?digits)?`
+fn parse_number(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
+    let start = *pos;
+    if bytes[*pos] == b'-' {
+        *pos += 1;
+    }
+    digits(bytes, pos)?;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        digits(bytes, pos)?;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        digits(bytes, pos)?;
+    }
+    let number = &text[start..*pos];
+    number
+        .parse::<f64>()
+        .map(JsonValue::Number)
+        .map_err(|_| format!("invalid number {number:?} at byte {start}"))
+}
+
+/// Decodes a string literal. Runs of ordinary characters are copied as one
+/// slice of the input, so each character costs O(1) whatever its width.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\' | 0x00..=0x1f) {
+            *pos += 1;
+        }
+        // The run stops at an ASCII byte or the end: both are char boundaries.
+        out.push_str(&text[run..*pos]);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -155,35 +194,28 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| format!("\\u needs four hex digits at byte {pos}"))?;
+                        // Every byte is a hex digit (checked above), so
+                        // `to_digit` cannot fail; a lone surrogate has no
+                        // `char` and decodes to U+FFFD.
+                        let code = hex.iter().fold(0, |code, &h| {
+                            code * 16 + (h as char).to_digit(16).unwrap_or(0)
+                        });
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err("invalid escape".to_string()),
+                    _ => return Err(format!("invalid escape at byte {pos}")),
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let tail = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = tail.chars().next().ok_or("invalid utf-8")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            Some(_) => return Err(format!("raw control byte in string at byte {pos}")),
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -192,7 +224,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue,
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
+        items.push(parse_value(text, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -205,7 +237,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue,
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // consume '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -218,14 +251,17 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        map.insert(key, value);
+        let value = parse_value(text, pos, depth + 1)?;
+        match map.entry(key) {
+            Entry::Occupied(e) => return Err(format!("duplicate key {:?}", e.key())),
+            Entry::Vacant(e) => e.insert(value),
+        };
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -275,6 +311,17 @@ mod tests {
     }
 
     #[test]
+    fn accepts_the_rfc_8259_grammar() {
+        let v = parse(r#"{"a": [1, -2.5e3, "x\n\u00e9", true, null], "b": {}}"#).unwrap();
+        let a = v.get("a").unwrap().as_array().unwrap();
+        assert_eq!(a[1].as_f64(), Some(-2500.0));
+        assert_eq!(a[2].as_str(), Some("x\né"));
+        for (text, n) in [("0", 0.0), ("-0.5", -0.5), ("1E+2", 100.0), ("2e-1", 0.2)] {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(n), "{text}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for bad in [
             "",
@@ -285,9 +332,40 @@ mod tests {
             "123 456",
             "{\"a\": 1,}",
             "nul",
+            "[1,]",
+            "\"\\q\"",
+            "01x",
+            "{\"a\" 1}",
+            "[] []",
+            "+1",
+            ".5",
+            "1.",
+            "1e",
+            "-",
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"\\u12\"",
+            "\"\\u+123\"",
+            "\"\\u12G4\"",
+            "{\"a\": 1, \"a\": 2}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn multi_byte_strings_decode_in_linear_time() {
+        // 1 MiB of two-byte characters; a per-character rescan of the
+        // remaining input would take minutes here.
+        let n = 512 * 1024;
+        let body = format!("{{\"a\": \"{}\"}}", "é".repeat(n));
+        let start = std::time::Instant::now();
+        let v = parse(&body).unwrap();
+        let s = v.get("a").unwrap().as_str().unwrap();
+        assert_eq!(s.chars().count(), n);
+        assert_eq!(s.len(), 2 * n);
+        // Generous for debug builds and loaded hosts; release takes ~ms.
+        assert!(start.elapsed().as_secs_f64() < 5.0, "{:?}", start.elapsed());
     }
 
     #[test]
